@@ -99,8 +99,10 @@ class PipelineConfig:
     pred_threshold: float
 
 
-def _section(raw, name):
-    sec = raw.get(name)
+def _section(parent, name, default=None):
+    """parent's entry for the last part of the dotted name, which must be a
+    JSON object; without a default the section is required."""
+    sec = parent.get(name.rsplit(".", 1)[-1], default)
     if sec is None:
         raise ConfigError(f"missing config section {name!r}")
     if not isinstance(sec, dict):
@@ -117,7 +119,7 @@ def _schedule_from(sec, name):
             decay_iterations=tuple(sec.get("decay_iterations", ())),
             decay_factor=sec.get("decay_factor", 0.1),
         )
-    except ValueError as exc:
+    except (TypeError, ValueError) as exc:
         raise ConfigError(f"train.{name}: {exc}") from None
 
 
@@ -129,8 +131,14 @@ def load_config(path, seed_override=None) -> PipelineConfig:
         raise ConfigError(f"cannot read config: {exc}") from None
     except json.JSONDecodeError as exc:
         raise ConfigError(f"config is not valid JSON: {exc}") from None
+    if not isinstance(raw, dict):
+        raise ConfigError("config must be a JSON object")
 
-    seed = int(raw.get("seed", 0)) if seed_override is None else int(seed_override)
+    seed = raw.get("seed", 0)
+    if isinstance(seed, bool) or not isinstance(seed, int) or seed < 0:
+        raise ConfigError(f"seed must be a non-negative integer, got {seed!r}")
+    if seed_override is not None:
+        seed = int(seed_override)
 
     try:
         synth = SynthConfig(**_section(raw, "synth"))
@@ -138,6 +146,7 @@ def load_config(path, seed_override=None) -> PipelineConfig:
         raise ConfigError(f"synth: {exc}") from None
 
     sgm_sec = _section(raw, "sgm")
+    bilsub_sec = _section(sgm_sec, "sgm.bilsub", {"enabled": False})
     try:
         directions = sgm_sec.get("directions", "all")
         if directions == "all":
@@ -152,7 +161,6 @@ def load_config(path, seed_override=None) -> PipelineConfig:
             d_max=sgm_sec.get("d_max", synth.d_max),
             directions=dirs,
         )
-        bilsub_sec = sgm_sec.get("bilsub", {"enabled": False})
         bilsub = None
         if bilsub_sec.get("enabled", True):
             bilsub = stereo.BilSubParams(
@@ -163,7 +171,7 @@ def load_config(path, seed_override=None) -> PipelineConfig:
         median_radius = int(sgm_sec.get("median_radius", 1))
         if median_radius < 0:
             raise ValueError("median_radius must be >= 0")
-    except ValueError as exc:
+    except (TypeError, ValueError) as exc:
         raise ConfigError(f"sgm: {exc}") from None
 
     pairs_sec = _section(raw, "pairs")
@@ -173,7 +181,7 @@ def load_config(path, seed_override=None) -> PipelineConfig:
             eq_threshold=pairs_sec.get("eq_threshold", 1.0),
             seed=seed,
         )
-    except ValueError as exc:
+    except (TypeError, ValueError) as exc:
         raise ConfigError(f"pairs: {exc}") from None
 
     bins_sec = _section(raw, "bins")
@@ -184,12 +192,14 @@ def load_config(path, seed_override=None) -> PipelineConfig:
         focal_baseline = float(bins_sec.get("focal_baseline", 32.0))
         if focal_baseline <= 0:
             raise ValueError("focal_baseline must be positive")
-    except ValueError as exc:
+    except (TypeError, ValueError) as exc:
         raise ConfigError(f"bins: {exc}") from None
 
     train_sec = _section(raw, "train")
+    net_sec = _section(train_sec, "train.net", {})
+    pretrain_sec = _section(train_sec, "train.pretrain", {})
+    finetune_sec = _section(train_sec, "train.finetune", {})
     try:
-        net_sec = train_sec.get("net", {})
         net = NetConfig(
             in_channels=3,
             stage_widths=tuple(net_sec.get("stage_widths", (16, 32, 64))),
@@ -200,11 +210,11 @@ def load_config(path, seed_override=None) -> PipelineConfig:
             head_channels=1,
             seed=int(net_sec.get("seed", seed)),
         )
-    except ValueError as exc:
+    except (TypeError, ValueError) as exc:
         raise ConfigError(f"train.net: {exc}") from None
-    pretrain = _schedule_from(train_sec.get("pretrain", {}), "pretrain")
-    finetune = _schedule_from(train_sec.get("finetune", {}), "finetune")
-    pretrain_pair_mean = bool(train_sec.get("pretrain", {}).get("pair_mean", False))
+    pretrain = _schedule_from(pretrain_sec, "pretrain")
+    finetune = _schedule_from(finetune_sec, "finetune")
+    pretrain_pair_mean = bool(pretrain_sec.get("pair_mean", False))
 
     def _clip_from(sec, name):
         value = sec.get("clip_norm")
@@ -214,9 +224,9 @@ def load_config(path, seed_override=None) -> PipelineConfig:
             raise ConfigError(f"train.{name}: clip_norm must be positive")
         return float(value)
 
-    pretrain_clip = _clip_from(train_sec.get("pretrain", {}), "pretrain")
-    finetune_clip = _clip_from(train_sec.get("finetune", {}), "finetune")
-    aug_sec = train_sec.get("finetune", {}).get("augment", {"enabled": False})
+    pretrain_clip = _clip_from(pretrain_sec, "pretrain")
+    finetune_clip = _clip_from(finetune_sec, "finetune")
+    aug_sec = _section(finetune_sec, "train.finetune.augment", {"enabled": False})
     augment_cfg = None
     if aug_sec.get("enabled", True):
         try:
@@ -224,12 +234,15 @@ def load_config(path, seed_override=None) -> PipelineConfig:
                 scale_range=tuple(aug_sec.get("scale_range", (1.0, 1.25))),
                 flip_prob=aug_sec.get("flip_prob", 0.5),
             )
-        except ValueError as exc:
+        except (TypeError, ValueError) as exc:
             raise ConfigError(f"train.finetune.augment: {exc}") from None
 
-    eval_sec = raw.get("eval", {})
+    eval_sec = _section(raw, "eval", {})
     strict_pairs_only = bool(eval_sec.get("strict_pairs_only", True))
-    pred_threshold = float(eval_sec.get("pred_threshold", 0.0))
+    try:
+        pred_threshold = float(eval_sec.get("pred_threshold", 0.0))
+    except (TypeError, ValueError) as exc:
+        raise ConfigError(f"eval: pred_threshold: {exc}") from None
     if pred_threshold < 0:
         raise ConfigError("eval: pred_threshold must be >= 0")
 
@@ -373,6 +386,25 @@ def _log_writer(fh):
     return write
 
 
+def _train_stage(cfg: PipelineConfig, stage, out_dir, resume, continues, trainer, *args,
+                 **kwargs):
+    """Run trainer(net, *args, schedule, ...) for one stage ("pretrain" or
+    "finetune") on a fresh net or the resume checkpoint's, then save
+    model.ckpt. When continues(net) holds for a checkpoint, training picks up
+    at its iteration and <stage>_log.jsonl is appended to, not restarted."""
+    out = Path(out_dir)
+    out.mkdir(parents=True, exist_ok=True)
+    net, iteration = (DepthNet(cfg.net), 0) if resume is None else load_checkpoint(resume)
+    start_iteration = iteration if continues(net) else 0
+    schedule = getattr(cfg, stage)
+    with open(out / f"{stage}_log.jsonl", "w" if start_iteration == 0 else "a") as fh:
+        trainer(net, *args, schedule, log_fn=_log_writer(fh),
+                start_iteration=start_iteration, **kwargs)
+    ckpt = out / "model.ckpt"
+    save_checkpoint(net, ckpt, iteration=max(start_iteration, schedule.total_iterations))
+    return ckpt
+
+
 def cmd_pretrain(cfg: PipelineConfig, data_dir, pairs_dir, out_dir, resume=None):
     data_manifest = _read_manifest(data_dir)
     pairs_manifest = _read_manifest(pairs_dir)
@@ -384,25 +416,16 @@ def cmd_pretrain(cfg: PipelineConfig, data_dir, pairs_dir, out_dir, resume=None)
         image = load_image(Path(data_dir) / scene["left"])
         pairs = load_pairs_csv(Path(pairs_dir) / pair_files[scene["index"]])
         dataset.append((image, pairs))
-    out = Path(out_dir)
-    out.mkdir(parents=True, exist_ok=True)
-    start_iteration = 0
-    if resume is not None:
-        net, start_iteration = load_checkpoint(resume)
+
+    def continues(net):
         if net.config.head_mode != RANKING:
             raise ValueError("resume checkpoint is not a ranking model")
-    else:
-        net = DepthNet(cfg.net)
-    with open(out / "pretrain_log.jsonl", "w" if start_iteration == 0 else "a") as fh:
-        pretrain_ranking(net, dataset, cfg.pretrain,
-                         seed=_derive_seed(cfg.seed, 11),
-                         pair_mean=cfg.pretrain_pair_mean,
-                         log_fn=_log_writer(fh),
-                         start_iteration=start_iteration,
-                         clip_norm=cfg.pretrain_clip_norm)
-    reached = max(start_iteration, cfg.pretrain.total_iterations)
-    save_checkpoint(net, out / "model.ckpt", iteration=reached)
-    print(f"pretrained ranking model saved to {out / 'model.ckpt'}")
+        return True
+
+    ckpt = _train_stage(cfg, "pretrain", out_dir, resume, continues, pretrain_ranking,
+                        dataset, seed=_derive_seed(cfg.seed, 11),
+                        pair_mean=cfg.pretrain_pair_mean, clip_norm=cfg.pretrain_clip_norm)
+    print(f"pretrained ranking model saved to {ckpt}")
     return EXIT_OK
 
 
@@ -418,27 +441,17 @@ def _finetune_dataset(cfg, data_dir):
 
 def cmd_finetune(cfg: PipelineConfig, data_dir, out_dir, resume=None):
     dataset = _finetune_dataset(cfg, data_dir)
-    out = Path(out_dir)
-    out.mkdir(parents=True, exist_ok=True)
-    start_iteration = 0
-    if resume is not None:
-        net, it = load_checkpoint(resume)
-        if (net.config.head_mode == CLASSIFICATION
-                and net.config.head_channels == cfg.scheme.bins):
-            start_iteration = it  # continuing an interrupted finetune
-        # a ranking checkpoint supplies the trunk; head swap happens below
-    else:
-        net = DepthNet(cfg.net)
-    with open(out / "finetune_log.jsonl", "w" if start_iteration == 0 else "a") as fh:
-        finetune_classification(net, dataset, cfg.scheme, cfg.gain, cfg.finetune,
-                                seed=_derive_seed(cfg.seed, 13),
-                                augment_cfg=cfg.augment_cfg,
-                                log_fn=_log_writer(fh),
-                                start_iteration=start_iteration,
-                                clip_norm=cfg.finetune_clip_norm)
-    reached = max(start_iteration, cfg.finetune.total_iterations)
-    save_checkpoint(net, out / "model.ckpt", iteration=reached)
-    print(f"finetuned classifier saved to {out / 'model.ckpt'}")
+
+    def continues(net):
+        # a classifier with the config's bins is an interrupted finetune; any
+        # other checkpoint only supplies the trunk and the trainer swaps its head
+        return (net.config.head_mode == CLASSIFICATION
+                and net.config.head_channels == cfg.scheme.bins)
+
+    ckpt = _train_stage(cfg, "finetune", out_dir, resume, continues, finetune_classification,
+                        dataset, cfg.scheme, cfg.gain, seed=_derive_seed(cfg.seed, 13),
+                        augment_cfg=cfg.augment_cfg, clip_norm=cfg.finetune_clip_norm)
+    print(f"finetuned classifier saved to {ckpt}")
     return EXIT_OK
 
 
@@ -472,6 +485,8 @@ def cmd_eval(cfg: PipelineConfig, data_dir, out_dir, ckpt=None, pred_dir=None):
 
 def cmd_whdr(cfg: PipelineConfig, data_dir, pairs_dir, ckpt, out_dir):
     manifest = _read_manifest(data_dir)
+    if not manifest["scenes"]:
+        raise ValueError(f"no scenes to score under {data_dir}")
     pairs_manifest = _read_manifest(pairs_dir)
     pair_files = {e["index"]: e["pairs"] for e in pairs_manifest["scenes"]}
     net, _ = load_checkpoint(ckpt)

@@ -3,6 +3,14 @@ as a log-binned depth classifier with the info-gain loss. A log-space L2
 regression trainer is kept as the baseline the classifier is compared
 against. Plain SGD with a step learning-rate schedule; everything is
 deterministic given the seeds.
+
+The three trainers share one SGD loop and differ only in their set-up and
+their per-sample loss. Each iteration the loop draws a batch of samples,
+augments them if asked, runs the net once over the stacked images and hands
+each sample's (C, h, w) output with its target to the loss. The loss returns
+a LossResult whose gradient has that same shape, or None for a sample with
+nothing to score, which adds zero loss and zero gradient. Loss and gradient
+are averaged over the whole batch before one SGD step.
 """
 
 from dataclasses import dataclass
@@ -10,7 +18,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from ..binning import BinningScheme, InfoGainMatrix, depth_to_bin
-from ..imagery.augment import augment
+from ..imagery.augment import augment, resize_depth
 from ..imagery.types import DepthMap, Image
 from ..losses import LossResult, infogain_loss, ranking_loss
 from ..ordinal import OrdinalPair
@@ -119,6 +127,46 @@ def _augmented(image, depth, aug: AugmentConfig, rng):
     return img, dm
 
 
+def _sgd_loop(net: DepthNet, dataset, schedule: TrainSchedule, seed, sample_loss,
+              augment_cfg=None, log_fn=None, start_iteration=0, clip_norm=None):
+    """SGD on sample_loss(output, target) over a list of (Image, target);
+    see the module docstring. Returns the history of {iter, loss, lr}."""
+    if not dataset:
+        raise ValueError("dataset is empty")
+    rng = np.random.default_rng(seed)
+    history = []
+    for iteration in range(start_iteration, schedule.total_iterations):
+        lr = schedule.lr_at(iteration)
+        idx = rng.integers(0, len(dataset), size=schedule.batch_size)
+        batch = [dataset[i] for i in idx]
+        if augment_cfg is not None:
+            batch = [_augmented(image, depth, augment_cfg, rng) for image, depth in batch]
+        out = net.forward(stack_images([image for image, _ in batch]))
+        dout = np.zeros_like(out)
+        loss = 0.0
+        for k, (_, target) in enumerate(batch):
+            try:
+                res = sample_loss(out[k], target)
+            except ValueError as exc:
+                raise ValueError(
+                    f"training diverged at iteration {iteration}: {exc}"
+                ) from None
+            if res is None:
+                continue
+            loss += res.value
+            dout[k] = res.gradient
+        loss /= schedule.batch_size
+        dout /= schedule.batch_size
+        net.zero_grad()
+        net.backward(dout)
+        _sgd_step(net, lr, clip_norm)
+        record = {"iter": iteration, "loss": loss, "lr": lr}
+        history.append(record)
+        if log_fn is not None:
+            log_fn(record)
+    return history
+
+
 def pretrain_ranking(net: DepthNet, dataset, schedule: TrainSchedule, seed=0,
                      pair_mean=False, log_fn=None, start_iteration=0,
                      clip_norm=None):
@@ -128,163 +176,65 @@ def pretrain_ranking(net: DepthNet, dataset, schedule: TrainSchedule, seed=0,
     resolution; they are projected onto the network's output grid once up
     front. Returns the per-iteration history of {iter, loss, lr}.
     """
-    if not dataset:
-        raise ValueError("dataset is empty")
     stride = net.config.total_stride
-    grid_pairs = []
+    grid_dataset = []
     for image, pairs in dataset:
         mapped = map_pairs_to_grid(pairs, stride)
         if not mapped:
             raise ValueError("a sample has no pairs left at grid resolution")
-        grid_pairs.append(mapped)
-    images = [image for image, _ in dataset]
-    rng = np.random.default_rng(seed)
-    history = []
-    for iteration in range(start_iteration, schedule.total_iterations):
-        lr = schedule.lr_at(iteration)
-        idx = rng.integers(0, len(images), size=schedule.batch_size)
-        x = stack_images([images[i] for i in idx])
-        out = net.forward(x)  # (N, 1, h, w)
-        dout = np.zeros_like(out)
-        loss = 0.0
-        for k, i in enumerate(idx):
-            try:
-                res = ranking_loss(out[k, 0], grid_pairs[i], mean=pair_mean)
-            except ValueError as exc:
-                raise ValueError(
-                    f"training diverged at iteration {iteration}: {exc}"
-                ) from None
-            loss += res.value
-            dout[k, 0] = res.gradient
-        loss /= schedule.batch_size
-        dout /= schedule.batch_size
-        net.zero_grad()
-        net.backward(dout)
-        _sgd_step(net, lr, clip_norm)
-        record = {"iter": iteration, "loss": loss, "lr": lr}
-        history.append(record)
-        if log_fn is not None:
-            log_fn(record)
-    return history
+        grid_dataset.append((image, mapped))
 
+    def pair_loss(scores, grid_pairs):
+        res = ranking_loss(scores[0], grid_pairs, mean=pair_mean)
+        return LossResult(res.value, res.gradient[None])
 
-def _grid_targets(depth: DepthMap, grid_h, grid_w):
-    """Subsample a depth map to the score grid with nearest lookups."""
-    h, w = depth.values.shape
-    ys = np.clip(((np.arange(grid_h) + 0.5) * (h / grid_h)).astype(np.int64), 0, h - 1)
-    xs = np.clip(((np.arange(grid_w) + 0.5) * (w / grid_w)).astype(np.int64), 0, w - 1)
-    return depth.values[ys][:, xs], depth.mask[ys][:, xs]
+    return _sgd_loop(net, grid_dataset, schedule, seed, pair_loss, log_fn=log_fn,
+                     start_iteration=start_iteration, clip_norm=clip_norm)
 
 
 def finetune_classification(net: DepthNet, dataset, scheme: BinningScheme,
                             gain: InfoGainMatrix, schedule: TrainSchedule,
                             seed=0, augment_cfg: AugmentConfig = None,
-                            log_fn=None, start_iteration=0, reseed_head=True,
-                            clip_norm=None):
+                            log_fn=None, start_iteration=0, clip_norm=None):
     """SGD on the info-gain classification loss over binned metric depths.
 
     dataset is a list of (Image, DepthMap) with metric ground truth. The head
     is swapped for a fresh classification head of scheme.bins channels unless
     it already matches; trunk weights and normalization statistics persist.
     """
-    if not dataset:
-        raise ValueError("dataset is empty")
     if gain.bins != scheme.bins:
         raise ValueError("gain matrix and binning scheme disagree on bin count")
     if net.config.head_mode != CLASSIFICATION or net.config.head_channels != scheme.bins:
-        if reseed_head:
-            net.re_head(CLASSIFICATION, scheme.bins)
-        else:
-            raise ValueError("network head does not match the binning scheme")
-    rng = np.random.default_rng(seed)
-    history = []
-    for iteration in range(start_iteration, schedule.total_iterations):
-        lr = schedule.lr_at(iteration)
-        idx = rng.integers(0, len(dataset), size=schedule.batch_size)
-        batch = []
-        for i in idx:
-            image, depth = dataset[i]
-            if augment_cfg is not None:
-                image, depth = _augmented(image, depth, augment_cfg, rng)
-            batch.append((image, depth))
-        x = stack_images([img for img, _ in batch])
-        out = net.forward(x)  # (N, B, h, w)
-        grid_h, grid_w = out.shape[2], out.shape[3]
-        dout = np.zeros_like(out)
-        loss = 0.0
-        for k, (_, depth) in enumerate(batch):
-            values, mask = _grid_targets(depth, grid_h, grid_w)
-            if not mask.any():
-                continue  # fully masked sample: zero loss, zero gradient
-            labels = np.ones(values.shape, dtype=np.int64)
-            labels[mask] = depth_to_bin(values[mask].astype(np.float64), scheme)
-            try:
-                res = infogain_loss(out[k].transpose(1, 2, 0), labels, mask, gain)
-            except ValueError as exc:
-                raise ValueError(
-                    f"training diverged at iteration {iteration}: {exc}"
-                ) from None
-            loss += res.value
-            dout[k] = res.gradient.transpose(2, 0, 1)
-        loss /= schedule.batch_size
-        dout /= schedule.batch_size
-        net.zero_grad()
-        net.backward(dout)
-        _sgd_step(net, lr, clip_norm)
-        record = {"iter": iteration, "loss": loss, "lr": lr}
-        history.append(record)
-        if log_fn is not None:
-            log_fn(record)
-    return history
+        net.re_head(CLASSIFICATION, scheme.bins)
+
+    def bin_loss(logits, depth):
+        grid = resize_depth(depth, logits.shape[1], logits.shape[2])
+        if not grid.mask.any():
+            return None
+        labels = np.ones(grid.values.shape, dtype=np.int64)
+        labels[grid.mask] = depth_to_bin(grid.values[grid.mask].astype(np.float64), scheme)
+        res = infogain_loss(logits.transpose(1, 2, 0), labels, grid.mask, gain)
+        return LossResult(res.value, res.gradient.transpose(2, 0, 1))
+
+    return _sgd_loop(net, dataset, schedule, seed, bin_loss, augment_cfg, log_fn,
+                     start_iteration, clip_norm)
 
 
 def finetune_regression(net: DepthNet, dataset, schedule: TrainSchedule,
                         seed=0, augment_cfg: AugmentConfig = None,
-                        log_fn=None, start_iteration=0, reseed_head=True,
-                        clip_norm=None):
-    """Baseline: SGD on log-depth L2 regression, same plumbing as above."""
-    if not dataset:
-        raise ValueError("dataset is empty")
+                        log_fn=None, start_iteration=0, clip_norm=None):
+    """Baseline: SGD on log-depth L2 regression, with the classifier's data,
+    augmentation and grid subsampling."""
     if net.config.head_mode != REGRESSION:
-        if reseed_head:
-            net.re_head(REGRESSION, 1)
-        else:
-            raise ValueError("network head is not a regression head")
-    rng = np.random.default_rng(seed)
-    history = []
-    for iteration in range(start_iteration, schedule.total_iterations):
-        lr = schedule.lr_at(iteration)
-        idx = rng.integers(0, len(dataset), size=schedule.batch_size)
-        batch = []
-        for i in idx:
-            image, depth = dataset[i]
-            if augment_cfg is not None:
-                image, depth = _augmented(image, depth, augment_cfg, rng)
-            batch.append((image, depth))
-        x = stack_images([img for img, _ in batch])
-        out = net.forward(x)  # (N, 1, h, w)
-        dout = np.zeros_like(out)
-        loss = 0.0
-        for k, (_, depth) in enumerate(batch):
-            values, mask = _grid_targets(depth, out.shape[2], out.shape[3])
-            if not mask.any():
-                continue
-            log_target = np.where(mask, np.log(np.maximum(values, 1e-12)), 0.0)
-            try:
-                res = l2_regression_loss(out[k, 0], log_target, mask)
-            except ValueError as exc:
-                raise ValueError(
-                    f"training diverged at iteration {iteration}: {exc}"
-                ) from None
-            loss += res.value
-            dout[k, 0] = res.gradient
-        loss /= schedule.batch_size
-        dout /= schedule.batch_size
-        net.zero_grad()
-        net.backward(dout)
-        _sgd_step(net, lr, clip_norm)
-        record = {"iter": iteration, "loss": loss, "lr": lr}
-        history.append(record)
-        if log_fn is not None:
-            log_fn(record)
-    return history
+        net.re_head(REGRESSION, 1)
+
+    def log_l2_loss(pred, depth):
+        grid = resize_depth(depth, pred.shape[1], pred.shape[2])
+        if not grid.mask.any():
+            return None
+        log_target = np.where(grid.mask, np.log(np.maximum(grid.values, 1e-12)), 0.0)
+        res = l2_regression_loss(pred[0], log_target, grid.mask)
+        return LossResult(res.value, res.gradient[None])
+
+    return _sgd_loop(net, dataset, schedule, seed, log_l2_loss, augment_cfg, log_fn,
+                     start_iteration, clip_norm)

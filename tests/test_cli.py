@@ -69,6 +69,13 @@ def run(args):
     return main(args)
 
 
+def assert_config_rejected(config_path, tmp_path, capsys):
+    out = tmp_path / "never"
+    assert run(["synth", "--config", str(config_path), "--out", str(out)]) == 1
+    assert "config error:" in capsys.readouterr().err
+    assert not out.exists()
+
+
 class TestSynth:
     def test_zero_scenes_is_success(self, tmp_path):
         cfg = write_config(tmp_path, **{"synth.count": 0})
@@ -146,30 +153,42 @@ class TestStereoAndPairs:
 
 
 class TestConfigValidation:
-    def test_bad_penalties_rejected_before_work(self, tmp_path):
-        cfg = write_config(tmp_path, **{"sgm.p1": 5.0, "sgm.p2": 1.0})
-        out = tmp_path / "never"
-        assert run(["synth", "--config", cfg, "--out", str(out)]) == 1
-        assert not out.exists()
+    def test_bad_penalties_rejected_before_work(self, tmp_path, capsys):
+        assert_config_rejected(write_config(tmp_path, **{"sgm.p1": 5.0, "sgm.p2": 1.0}),
+                               tmp_path, capsys)
+        # every seed feeds a numpy seed sequence, which takes only integers >= 0
+        for seed in ("three", 1.5, -1, True, None):
+            assert_config_rejected(write_config(tmp_path, seed=seed), tmp_path, capsys)
 
     def test_bad_bins_rejected(self, tmp_path):
         cfg = write_config(tmp_path, **{"bins.d_min": 10.0, "bins.d_max": 10.0})
         assert run(["synth", "--config", cfg, "--out", str(tmp_path / "x")]) == 1
 
-    def test_bad_schedule_rejected(self, tmp_path):
-        cfg = write_config(tmp_path, **{"train.pretrain.decay_iterations": [99]})
-        assert run(["synth", "--config", cfg, "--out", str(tmp_path / "x")]) == 1
+    def test_bad_schedule_rejected(self, tmp_path, capsys):
+        for key, value in (("train.pretrain.decay_iterations", [99]),
+                           ("train.pretrain.batch_size", "4"),
+                           ("train.finetune.decay_iterations", 3)):
+            assert_config_rejected(write_config(tmp_path, **{key: value}), tmp_path, capsys)
 
-    def test_missing_section_rejected(self, tmp_path):
+    def test_missing_section_rejected(self, tmp_path, capsys):
         raw = json.loads(json.dumps(BASE_CONFIG))
         del raw["bins"]
         path = tmp_path / "c.json"
         path.write_text(json.dumps(raw))
-        assert run(["synth", "--config", str(path), "--out", str(tmp_path / "x")]) == 1
+        assert_config_rejected(path, tmp_path, capsys)
+        # a section that is there must be an object
+        for section in ("sgm.bilsub", "train.net", "train.pretrain", "train.finetune",
+                        "train.finetune.augment", "eval"):
+            for value in (3, [], "on", None):
+                cfg = write_config(tmp_path, **{section: value})
+                assert_config_rejected(cfg, tmp_path, capsys)
 
-    def test_unreadable_config(self, tmp_path):
-        assert run(["synth", "--config", str(tmp_path / "nope.json"),
-                    "--out", str(tmp_path / "x")]) == 1
+    def test_unreadable_config(self, tmp_path, capsys):
+        assert_config_rejected(tmp_path / "nope.json", tmp_path, capsys)
+        path = tmp_path / "c.json"
+        for top_level in ([BASE_CONFIG], "config", 3, None):
+            path.write_text(json.dumps(top_level))
+            assert_config_rejected(path, tmp_path, capsys)
 
 
 class TestTrainEvalCommands:
@@ -226,6 +245,22 @@ class TestTrainEvalCommands:
         assert run(["synth", "--config", cfg, "--out", d["synth"]]) == 0
         assert run(["eval", "--config", cfg, "--data", d["synth"],
                     "--out", d["eval"]]) == 2
+
+    def test_whdr_with_no_scenes_is_runtime_failure(self, tmp_path, capsys):
+        from reldepth.cli import load_config
+        from reldepth.network import DepthNet, save_checkpoint
+
+        cfg = write_config(tmp_path, **{"synth.count": 0})
+        synth_dir, pair_dir, out = tmp_path / "s", tmp_path / "p", tmp_path / "w"
+        assert run(["synth", "--config", cfg, "--out", str(synth_dir)]) == 0
+        assert run(["pairs", "--config", cfg, "--in", str(synth_dir),
+                    "--out", str(pair_dir)]) == 0
+        ckpt = tmp_path / "model.ckpt"
+        save_checkpoint(DepthNet(load_config(cfg).net), ckpt, iteration=0)
+        assert run(["whdr", "--config", cfg, "--data", str(synth_dir), "--pairs",
+                    str(pair_dir), "--ckpt", str(ckpt), "--out", str(out)]) == 2
+        assert "no scenes to score" in capsys.readouterr().err
+        assert not (out / "whdr.json").exists()
 
     def test_training_commands_deterministic(self, pipeline):
         cfg, d = pipeline

@@ -446,6 +446,80 @@ class TestTraining:
         assert sched.lr_at(7) == 0.25
 
 
+def trainer_case(name):
+    """A net that already has the trainer's head, and train(net, schedule,
+    **kwargs) running that trainer on one 32x32 sample."""
+    img, depth = overfit_sample()
+    if name == "ranking":
+        pairs = [OrdinalPair((0, 0), (20, 20), 1), OrdinalPair((8, 8), (28, 2), -1)]
+        return tiny_net(), lambda net, sched, **kw: pretrain_ranking(
+            net, [(img, pairs)], sched, seed=1, **kw)
+    if name == "classification":
+        scheme, gain = make_bins(2.0, 40.0, 6), info_gain_matrix(6, 2.0)
+        return tiny_net("classification", 6), lambda net, sched, **kw: finetune_classification(
+            net, [(img, depth)], scheme, gain, sched, seed=1, **kw)
+    return tiny_net("regression", 1), lambda net, sched, **kw: finetune_regression(
+        net, [(img, depth)], sched, seed=1, **kw)
+
+
+TRAINERS = ("ranking", "classification", "regression")
+
+
+@pytest.mark.parametrize("name", TRAINERS)
+class TestTrainingLoop:
+    def test_nan_weight_reports_divergence(self, name):
+        net, train = trainer_case(name)
+        _, stem = next(iter(net.named_params()))
+        stem.values[...] = np.nan
+        with pytest.raises(ValueError, match="training diverged at iteration 0"):
+            train(net, TrainSchedule(batch_size=1, total_iterations=2))
+
+    def test_resume_runs_the_remaining_iterations(self, name):
+        net, train = trainer_case(name)
+        sched = TrainSchedule(batch_size=1, learning_rate=1e-3, total_iterations=5,
+                              decay_iterations=(3,), decay_factor=0.5)
+        hist = train(net, sched, start_iteration=2)
+        assert [r["iter"] for r in hist] == [2, 3, 4]
+        assert [r["lr"] for r in hist] == [sched.lr_at(i) for i in (2, 3, 4)]
+
+    @pytest.mark.parametrize("start", (5, 8))
+    def test_resume_at_or_past_the_end_changes_nothing(self, name, start):
+        net, train = trainer_case(name)
+        before = {n: t.values.copy() for n, t in net.named_params()}
+        sched = TrainSchedule(batch_size=1, learning_rate=1e-3, total_iterations=5)
+        assert train(net, sched, start_iteration=start) == []
+        for n, t in net.named_params():
+            assert np.array_equal(before[n], t.values), n
+
+
+# bench/replay.py times a traced run by swapping these names of the training
+# module for timed wrappers, so the trainers must call through them
+HOOKED = {
+    "ranking": {"stack_images", "ranking_loss", "map_pairs_to_grid"},
+    "classification": {"stack_images", "infogain_loss", "depth_to_bin", "augment"},
+    "regression": {"stack_images", "augment"},
+}
+
+
+@pytest.mark.parametrize("name", TRAINERS)
+def test_trainers_call_the_benchmark_hook_names(name, monkeypatch):
+    from reldepth.network import training
+
+    hooks = set().union(*HOOKED.values())
+    assert hooks == {"stack_images", "ranking_loss", "infogain_loss", "depth_to_bin",
+                     "augment", "map_pairs_to_grid"}
+    called = set()
+    for hook in hooks:
+        def counted(*args, _hook=hook, _fn=getattr(training, hook), **kwargs):
+            called.add(_hook)
+            return _fn(*args, **kwargs)
+        monkeypatch.setattr(training, hook, counted)
+    net, train = trainer_case(name)
+    kwargs = {} if name == "ranking" else {"augment_cfg": AugmentConfig()}
+    assert len(train(net, TrainSchedule(batch_size=1, total_iterations=1), **kwargs)) == 1
+    assert called == HOOKED[name]
+
+
 class TestPairMapping:
     def test_coordinates_divided_by_stride(self):
         pairs = [OrdinalPair((9, 17), (25, 3), 1)]
