@@ -10,7 +10,7 @@ failure, 2 on runtime failure.
 import argparse
 import json
 import sys
-from dataclasses import dataclass
+from dataclasses import dataclass, fields, replace
 from pathlib import Path
 
 import numpy as np
@@ -46,6 +46,9 @@ from .ordinal import PairSampleConfig, load_pairs_csv, sample_pairs, save_pairs_
 EXIT_OK = 0
 EXIT_CONFIG = 1
 EXIT_RUNTIME = 2
+
+# named direction sets the sgm section's "directions" key may give
+DIRECTION_SETS = {"all": stereo.DIRECTIONS_8, "horizontal": stereo.HORIZONTAL_PAIR}
 
 
 class ConfigError(ValueError):
@@ -100,9 +103,9 @@ class PipelineConfig:
 
 
 def _section(parent, name, default=None):
-    """parent's entry for the last part of the dotted name, which must be a
-    JSON object; without a default the section is required."""
-    sec = parent.get(name.rsplit(".", 1)[-1], default)
+    """Remove and return parent's entry for the last part of the dotted name,
+    which must be a JSON object; without a default the section is required."""
+    sec = parent.pop(name.rsplit(".", 1)[-1], default)
     if sec is None:
         raise ConfigError(f"missing config section {name!r}")
     if not isinstance(sec, dict):
@@ -110,21 +113,50 @@ def _section(parent, name, default=None):
     return sec
 
 
-def _schedule_from(sec, name):
+def _reject_unknown(keys, name, known=()):
+    unknown = sorted(set(keys) - set(known))
+    if unknown:
+        raise ConfigError(f"{name}: unknown key {unknown[0]!r}")
+
+
+def _build(name, base, sec, fixed=()):
+    """The dataclass instance base with the section's keys replacing its
+    fields. Each key must name a field other than the fixed ones, which the
+    code sets; a bad key or value is a config error of the named section."""
+    _reject_unknown(sec, name, {f.name for f in fields(base)} - set(fixed))
     try:
-        return TrainSchedule(
-            batch_size=sec.get("batch_size", 4),
-            learning_rate=sec.get("learning_rate", 2e-4),
-            total_iterations=sec.get("total_iterations", 300),
-            decay_iterations=tuple(sec.get("decay_iterations", ())),
-            decay_factor=sec.get("decay_factor", 0.1),
-        )
+        return replace(base, **sec)
     except (TypeError, ValueError) as exc:
-        raise ConfigError(f"train.{name}: {exc}") from None
+        raise ConfigError(f"{name}: {exc}") from None
+
+
+def _flag(sec, name, key, default):
+    value = sec.pop(key, default)
+    if not isinstance(value, bool):
+        raise ConfigError(f"{name}: {key} must be true or false, got {value!r}")
+    return value
+
+
+def _non_negative_int(value, what):
+    if isinstance(value, bool) or not isinstance(value, int) or value < 0:
+        raise ConfigError(f"{what} must be a non-negative integer, got {value!r}")
+    return value
+
+
+def _clip_norm(sec, name):
+    value = sec.pop("clip_norm", None)
+    if value is None:
+        return None
+    if isinstance(value, bool) or not isinstance(value, (int, float)) or value <= 0:
+        raise ConfigError(f"{name}: clip_norm must be a positive number, got {value!r}")
+    return float(value)
 
 
 def load_config(path, seed_override=None) -> PipelineConfig:
-    """Parse and fully validate a pipeline config before any work happens."""
+    """Parse and fully validate a pipeline config before any work happens.
+
+    A section backed by a parameter dataclass takes that dataclass's field
+    names as its keys and its defaults; an unknown key is a config error."""
     try:
         raw = json.loads(Path(path).read_text())
     except OSError as exc:
@@ -134,128 +166,77 @@ def load_config(path, seed_override=None) -> PipelineConfig:
     if not isinstance(raw, dict):
         raise ConfigError("config must be a JSON object")
 
-    seed = raw.get("seed", 0)
-    if isinstance(seed, bool) or not isinstance(seed, int) or seed < 0:
-        raise ConfigError(f"seed must be a non-negative integer, got {seed!r}")
+    seed = _non_negative_int(raw.pop("seed", 0), "seed")
     if seed_override is not None:
         seed = int(seed_override)
 
-    try:
-        synth = SynthConfig(**_section(raw, "synth"))
-    except (TypeError, ValueError) as exc:
-        raise ConfigError(f"synth: {exc}") from None
+    synth = _build("synth", SynthConfig(), _section(raw, "synth"))
 
     sgm_sec = _section(raw, "sgm")
     bilsub_sec = _section(sgm_sec, "sgm.bilsub", {"enabled": False})
-    try:
-        directions = sgm_sec.get("directions", "all")
-        if directions == "all":
-            dirs = stereo.DIRECTIONS_8
-        elif directions == "horizontal":
-            dirs = stereo.HORIZONTAL_PAIR
-        else:
-            dirs = tuple(tuple(d) for d in directions)
-        sgm_params = stereo.SgmParams(
-            p1=sgm_sec.get("p1", 0.09),
-            p2=sgm_sec.get("p2", 0.72),
-            d_max=sgm_sec.get("d_max", synth.d_max),
-            directions=dirs,
-        )
-        bilsub = None
-        if bilsub_sec.get("enabled", True):
-            bilsub = stereo.BilSubParams(
-                spatial_sigma=bilsub_sec.get("spatial_sigma", 2.0),
-                range_sigma=bilsub_sec.get("range_sigma", 0.1),
-                radius=bilsub_sec.get("radius", 3),
-            )
-        median_radius = int(sgm_sec.get("median_radius", 1))
-        if median_radius < 0:
-            raise ValueError("median_radius must be >= 0")
-    except (TypeError, ValueError) as exc:
-        raise ConfigError(f"sgm: {exc}") from None
-
-    pairs_sec = _section(raw, "pairs")
-    try:
-        pair_cfg = PairSampleConfig(
-            count=pairs_sec.get("count", 1000),
-            eq_threshold=pairs_sec.get("eq_threshold", 1.0),
-            seed=seed,
-        )
-    except (TypeError, ValueError) as exc:
-        raise ConfigError(f"pairs: {exc}") from None
-
-    bins_sec = _section(raw, "bins")
-    try:
-        scheme = make_bins(bins_sec.get("d_min", 2.0), bins_sec.get("d_max", 40.0),
-                           bins_sec.get("B", 16))
-        gain = info_gain_matrix(scheme.bins, bins_sec.get("alpha", 2.0))
-        focal_baseline = float(bins_sec.get("focal_baseline", 32.0))
-        if focal_baseline <= 0:
-            raise ValueError("focal_baseline must be positive")
-    except (TypeError, ValueError) as exc:
-        raise ConfigError(f"bins: {exc}") from None
-
-    train_sec = _section(raw, "train")
-    net_sec = _section(train_sec, "train.net", {})
-    pretrain_sec = _section(train_sec, "train.pretrain", {})
-    finetune_sec = _section(train_sec, "train.finetune", {})
-    try:
-        net = NetConfig(
-            in_channels=3,
-            stage_widths=tuple(net_sec.get("stage_widths", (16, 32, 64))),
-            stage_blocks=tuple(net_sec.get("stage_blocks", (2, 2, 2))),
-            stage_strides=tuple(net_sec.get("stage_strides", (1, 2, 2))),
-            head_widths=tuple(net_sec.get("head_widths", (64, 32))),
-            head_mode=RANKING,
-            head_channels=1,
-            seed=int(net_sec.get("seed", seed)),
-        )
-    except (TypeError, ValueError) as exc:
-        raise ConfigError(f"train.net: {exc}") from None
-    pretrain = _schedule_from(pretrain_sec, "pretrain")
-    finetune = _schedule_from(finetune_sec, "finetune")
-    pretrain_pair_mean = bool(pretrain_sec.get("pair_mean", False))
-
-    def _clip_from(sec, name):
-        value = sec.get("clip_norm")
-        if value is None:
-            return None
-        if not isinstance(value, (int, float)) or value <= 0:
-            raise ConfigError(f"train.{name}: clip_norm must be positive")
-        return float(value)
-
-    pretrain_clip = _clip_from(pretrain_sec, "pretrain")
-    finetune_clip = _clip_from(finetune_sec, "finetune")
-    aug_sec = _section(finetune_sec, "train.finetune.augment", {"enabled": False})
-    augment_cfg = None
-    if aug_sec.get("enabled", True):
-        try:
-            augment_cfg = AugmentConfig(
-                scale_range=tuple(aug_sec.get("scale_range", (1.0, 1.25))),
-                flip_prob=aug_sec.get("flip_prob", 0.5),
-            )
-        except (TypeError, ValueError) as exc:
-            raise ConfigError(f"train.finetune.augment: {exc}") from None
-
-    eval_sec = _section(raw, "eval", {})
-    strict_pairs_only = bool(eval_sec.get("strict_pairs_only", True))
-    try:
-        pred_threshold = float(eval_sec.get("pred_threshold", 0.0))
-    except (TypeError, ValueError) as exc:
-        raise ConfigError(f"eval: pred_threshold: {exc}") from None
-    if pred_threshold < 0:
-        raise ConfigError("eval: pred_threshold must be >= 0")
-
+    bilsub_enabled = _flag(bilsub_sec, "sgm.bilsub", "enabled", True)
+    bilsub = _build("sgm.bilsub", stereo.BilSubParams(), bilsub_sec)
+    median_radius = _non_negative_int(sgm_sec.pop("median_radius", 1), "sgm: median_radius")
+    directions = sgm_sec.get("directions")
+    if isinstance(directions, str):
+        sgm_sec["directions"] = DIRECTION_SETS.get(directions, directions)
+    sgm_sec.setdefault("d_max", synth.d_max)
+    sgm_params = _build("sgm", stereo.SgmParams.defaults(), sgm_sec, fixed=("border_cost",))
     if sgm_params.d_max < synth.d_max:
         raise ConfigError(
             f"sgm.d_max ({sgm_params.d_max}) below synth.d_max ({synth.d_max})"
         )
 
+    pair_cfg = _build("pairs", PairSampleConfig(seed=seed), _section(raw, "pairs"),
+                      fixed=("seed",))
+
+    bins_sec = _section(raw, "bins")
+    try:
+        scheme = make_bins(bins_sec.pop("d_min", 2.0), bins_sec.pop("d_max", 40.0),
+                           bins_sec.pop("B", 16))
+        gain = info_gain_matrix(scheme.bins, bins_sec.pop("alpha", 2.0))
+        focal_baseline = float(bins_sec.pop("focal_baseline", 32.0))
+        if focal_baseline <= 0:
+            raise ValueError("focal_baseline must be positive")
+    except (TypeError, ValueError) as exc:
+        raise ConfigError(f"bins: {exc}") from None
+    _reject_unknown(bins_sec, "bins")
+
+    train_sec = _section(raw, "train")
+    net_sec = _section(train_sec, "train.net", {})
+    if "seed" in net_sec:
+        _non_negative_int(net_sec["seed"], "train.net: seed")
+    net = _build("train.net", NetConfig(seed=seed), net_sec,
+                 fixed=("in_channels", "head_mode", "head_channels"))
+    pretrain_sec = _section(train_sec, "train.pretrain", {})
+    pretrain_pair_mean = _flag(pretrain_sec, "train.pretrain", "pair_mean", False)
+    pretrain_clip = _clip_norm(pretrain_sec, "train.pretrain")
+    pretrain = _build("train.pretrain", TrainSchedule(), pretrain_sec)
+    finetune_sec = _section(train_sec, "train.finetune", {})
+    finetune_clip = _clip_norm(finetune_sec, "train.finetune")
+    aug_sec = _section(finetune_sec, "train.finetune.augment", {"enabled": False})
+    augment_enabled = _flag(aug_sec, "train.finetune.augment", "enabled", True)
+    augment_cfg = _build("train.finetune.augment", AugmentConfig(), aug_sec)
+    finetune = _build("train.finetune", TrainSchedule(), finetune_sec)
+    _reject_unknown(train_sec, "train")
+
+    eval_sec = _section(raw, "eval", {})
+    strict_pairs_only = _flag(eval_sec, "eval", "strict_pairs_only", True)
+    try:
+        pred_threshold = float(eval_sec.pop("pred_threshold", 0.0))
+    except (TypeError, ValueError) as exc:
+        raise ConfigError(f"eval: pred_threshold: {exc}") from None
+    if pred_threshold < 0:
+        raise ConfigError("eval: pred_threshold must be >= 0")
+    _reject_unknown(eval_sec, "eval")
+    _reject_unknown(raw, "config")
+
     return PipelineConfig(
-        seed=seed, synth=synth, sgm_params=sgm_params, bilsub=bilsub,
+        seed=seed, synth=synth, sgm_params=sgm_params,
+        bilsub=bilsub if bilsub_enabled else None,
         median_radius=median_radius, pair_cfg=pair_cfg, scheme=scheme, gain=gain,
         focal_baseline=focal_baseline, net=net, pretrain=pretrain,
-        finetune=finetune, augment_cfg=augment_cfg,
+        finetune=finetune, augment_cfg=augment_cfg if augment_enabled else None,
         pretrain_pair_mean=pretrain_pair_mean,
         pretrain_clip_norm=pretrain_clip, finetune_clip_norm=finetune_clip,
         strict_pairs_only=strict_pairs_only, pred_threshold=pred_threshold,
@@ -270,11 +251,39 @@ def _write_json(path, payload):
     Path(path).write_text(json.dumps(payload, sort_keys=True, indent=2) + "\n")
 
 
-def _read_manifest(dirpath):
+def _read_scenes(dirpath):
+    """The scene entries of dirpath's manifest.json, each an object with an
+    integer "index"."""
     mpath = Path(dirpath) / "manifest.json"
     if not mpath.is_file():
         raise FileNotFoundError(f"no manifest.json under {dirpath}")
-    return json.loads(mpath.read_text())
+    manifest = json.loads(mpath.read_text())
+    scenes = manifest.get("scenes") if isinstance(manifest, dict) else None
+    if not isinstance(scenes, list):
+        raise ValueError(f"{mpath}: no list of scenes")
+    for scene in scenes:
+        if not isinstance(scene, dict) or type(scene.get("index")) is not int:
+            raise ValueError(f"{mpath}: scene entry without an integer index")
+    return scenes
+
+
+def _scene_file(dirpath, scene, key):
+    """dirpath / the file the scene's manifest entry names under key."""
+    name = scene.get(key)
+    if not isinstance(name, str):
+        raise ValueError(f"scene {scene['index']}: manifest entry has no {key!r} file")
+    return Path(dirpath) / name
+
+
+def _pair_loader(pairs_dir):
+    """load(scene) -> the pairs that pairs_dir's manifest lists for the scene."""
+    files = {e["index"]: _scene_file(pairs_dir, e, "pairs") for e in _read_scenes(pairs_dir)}
+
+    def load(scene):
+        if scene["index"] not in files:
+            raise FileNotFoundError(f"no pair file for scene {scene['index']}")
+        return load_pairs_csv(files[scene["index"]])
+    return load
 
 
 def _scene_spec(cfg: PipelineConfig, index):
@@ -322,62 +331,54 @@ def cmd_synth(cfg: PipelineConfig, out_dir):
     return EXIT_OK
 
 
-def cmd_stereo(cfg: PipelineConfig, in_dir, out_dir):
-    manifest = _read_manifest(in_dir)
+def _scene_loop(in_dir, out_dir, work, verb, **manifest):
+    """Run work(scene, out) over the scenes of in_dir's manifest; it returns
+    the scene's entry for the output manifest. A scene that fails with
+    OSError or ValueError is listed under "failures" and the others still run.
+    Writes out_dir/manifest.json (the entries plus the manifest keyword
+    arguments) and returns exit code 2 if any scene failed."""
+    scenes = _read_scenes(in_dir)
     out = Path(out_dir)
     out.mkdir(parents=True, exist_ok=True)
     entries, failures = [], []
-    for scene in manifest["scenes"]:
-        name = f"disp_{scene['index']:03d}.pfm"
+    for scene in scenes:
         try:
-            left = load_image(Path(in_dir) / scene["left"])
-            right = load_image(Path(in_dir) / scene["right"])
-            disp = stereo.match_pair(left, right, cfg.sgm_params,
-                                     bilsub_params=cfg.bilsub,
-                                     median_radius=cfg.median_radius)
-            save_pfm(disp, out / name)
-            entries.append({"index": scene["index"], "disparity": name})
+            entries.append({"index": scene["index"], **work(scene, out)})
         except (OSError, ValueError) as exc:
             failures.append({"index": scene["index"], "error": str(exc)})
             print(f"scene {scene['index']}: {exc}", file=sys.stderr)
-    _write_json(out / "manifest.json", {
-        "kind": "disparity", "scenes": entries, "failures": failures,
-        "d_max": cfg.sgm_params.d_max,
-    })
-    print(f"matched {len(entries)}/{len(manifest['scenes'])} scenes into {out}")
+    _write_json(out / "manifest.json", {**manifest, "scenes": entries, "failures": failures})
+    print(f"{verb} {len(entries)}/{len(scenes)} scenes into {out}")
     return EXIT_RUNTIME if failures else EXIT_OK
+
+
+def cmd_stereo(cfg: PipelineConfig, in_dir, out_dir):
+    def match(scene, out):
+        left = load_image(_scene_file(in_dir, scene, "left"))
+        right = load_image(_scene_file(in_dir, scene, "right"))
+        disp = stereo.match_pair(left, right, cfg.sgm_params, bilsub_params=cfg.bilsub,
+                                 median_radius=cfg.median_radius)
+        name = f"disp_{scene['index']:03d}.pfm"
+        save_pfm(disp, out / name)
+        return {"disparity": name}
+
+    return _scene_loop(in_dir, out_dir, match, "matched",
+                       kind="disparity", d_max=cfg.sgm_params.d_max)
 
 
 def cmd_pairs(cfg: PipelineConfig, in_dir, out_dir):
-    manifest = _read_manifest(in_dir)
-    out = Path(out_dir)
-    out.mkdir(parents=True, exist_ok=True)
-    entries, failures = [], []
-    for scene in manifest["scenes"]:
+    def sample(scene, out):
+        # matched disparities from a stereo run, or ground truth from a
+        # synth dataset
+        key = "disparity" if "disparity" in scene else "gt"
+        disp = load_pfm(_scene_file(in_dir, scene, key), kind=DISPARITY)
+        pair_cfg = replace(cfg.pair_cfg, seed=_derive_seed(cfg.seed, 7, scene["index"]))
         name = f"pairs_{scene['index']:03d}.csv"
-        try:
-            # matched disparities from a stereo run, or ground truth from a
-            # synth dataset
-            disp_name = scene.get("disparity", scene.get("gt"))
-            if disp_name is None:
-                raise ValueError("manifest entry has no disparity map")
-            disp = load_pfm(Path(in_dir) / disp_name, kind=DISPARITY)
-            pair_cfg = PairSampleConfig(
-                count=cfg.pair_cfg.count,
-                eq_threshold=cfg.pair_cfg.eq_threshold,
-                seed=_derive_seed(cfg.seed, 7, scene["index"]),
-            )
-            save_pairs_csv(sample_pairs(disp, pair_cfg), out / name)
-            entries.append({"index": scene["index"], "pairs": name})
-        except (OSError, ValueError) as exc:
-            failures.append({"index": scene["index"], "error": str(exc)})
-            print(f"scene {scene['index']}: {exc}", file=sys.stderr)
-    _write_json(out / "manifest.json", {
-        "kind": "pairs", "count": cfg.pair_cfg.count, "scenes": entries,
-        "failures": failures,
-    })
-    print(f"sampled pairs for {len(entries)}/{len(manifest['scenes'])} scenes into {out}")
-    return EXIT_RUNTIME if failures else EXIT_OK
+        save_pairs_csv(sample_pairs(disp, pair_cfg), out / name)
+        return {"pairs": name}
+
+    return _scene_loop(in_dir, out_dir, sample, "sampled pairs for",
+                       kind="pairs", count=cfg.pair_cfg.count)
 
 
 def _log_writer(fh):
@@ -406,16 +407,12 @@ def _train_stage(cfg: PipelineConfig, stage, out_dir, resume, continues, trainer
 
 
 def cmd_pretrain(cfg: PipelineConfig, data_dir, pairs_dir, out_dir, resume=None):
-    data_manifest = _read_manifest(data_dir)
-    pairs_manifest = _read_manifest(pairs_dir)
-    pair_files = {e["index"]: e["pairs"] for e in pairs_manifest["scenes"]}
+    scenes = _read_scenes(data_dir)
+    load_pairs = _pair_loader(pairs_dir)
     dataset = []
-    for scene in data_manifest["scenes"]:
-        if scene["index"] not in pair_files:
-            raise FileNotFoundError(f"no pair file for scene {scene['index']}")
-        image = load_image(Path(data_dir) / scene["left"])
-        pairs = load_pairs_csv(Path(pairs_dir) / pair_files[scene["index"]])
-        dataset.append((image, pairs))
+    for scene in scenes:
+        image = load_image(_scene_file(data_dir, scene, "left"))
+        dataset.append((image, load_pairs(scene)))
 
     def continues(net):
         if net.config.head_mode != RANKING:
@@ -429,18 +426,12 @@ def cmd_pretrain(cfg: PipelineConfig, data_dir, pairs_dir, out_dir, resume=None)
     return EXIT_OK
 
 
-def _finetune_dataset(cfg, data_dir):
-    manifest = _read_manifest(data_dir)
-    dataset = []
-    for scene in manifest["scenes"]:
-        image = load_image(Path(data_dir) / scene["left"])
-        gt = load_pfm(Path(data_dir) / scene["gt"], kind=DISPARITY)
-        dataset.append((image, disparity_to_depth(gt, cfg.focal_baseline)))
-    return dataset
-
-
 def cmd_finetune(cfg: PipelineConfig, data_dir, out_dir, resume=None):
-    dataset = _finetune_dataset(cfg, data_dir)
+    dataset = []
+    for scene in _read_scenes(data_dir):
+        image = load_image(_scene_file(data_dir, scene, "left"))
+        gt = load_pfm(_scene_file(data_dir, scene, "gt"), kind=DISPARITY)
+        dataset.append((image, disparity_to_depth(gt, cfg.focal_baseline)))
 
     def continues(net):
         # a classifier with the config's bins is an interrupted finetune; any
@@ -458,21 +449,21 @@ def cmd_finetune(cfg: PipelineConfig, data_dir, out_dir, resume=None):
 def cmd_eval(cfg: PipelineConfig, data_dir, out_dir, ckpt=None, pred_dir=None):
     if (ckpt is None) == (pred_dir is None):
         raise ValueError("exactly one of --ckpt / --pred is required")
-    manifest = _read_manifest(data_dir)
+    scenes = _read_scenes(data_dir)
     net = None
     if ckpt is not None:
         net, _ = load_checkpoint(ckpt)
     out = Path(out_dir)
     out.mkdir(parents=True, exist_ok=True)
     reports, per_scene = [], []
-    for scene in manifest["scenes"]:
-        gt_disp = load_pfm(Path(data_dir) / scene["gt"], kind=DISPARITY)
+    for scene in scenes:
+        gt_disp = load_pfm(_scene_file(data_dir, scene, "gt"), kind=DISPARITY)
         gt = disparity_to_depth(gt_disp, cfg.focal_baseline)
         if net is not None:
-            image = load_image(Path(data_dir) / scene["left"])
+            image = load_image(_scene_file(data_dir, scene, "left"))
             pred = predict_depth(net, image, cfg.scheme)
         else:
-            pred = load_pfm(Path(pred_dir) / scene["gt"], kind="depth")
+            pred = load_pfm(_scene_file(pred_dir, scene, "gt"), kind="depth")
         report = evaluate(pred, gt)
         reports.append(report)
         per_scene.append({"index": scene["index"], **report.to_dict()})
@@ -484,26 +475,23 @@ def cmd_eval(cfg: PipelineConfig, data_dir, out_dir, ckpt=None, pred_dir=None):
 
 
 def cmd_whdr(cfg: PipelineConfig, data_dir, pairs_dir, ckpt, out_dir):
-    manifest = _read_manifest(data_dir)
-    if not manifest["scenes"]:
+    scenes = _read_scenes(data_dir)
+    if not scenes:
         raise ValueError(f"no scenes to score under {data_dir}")
-    pairs_manifest = _read_manifest(pairs_dir)
-    pair_files = {e["index"]: e["pairs"] for e in pairs_manifest["scenes"]}
+    load_pairs = _pair_loader(pairs_dir)
     net, _ = load_checkpoint(ckpt)
     if net.config.head_mode != RANKING:
         raise ValueError("whdr scoring expects a ranking checkpoint")
     out = Path(out_dir)
     out.mkdir(parents=True, exist_ok=True)
     per_scene, disagree, total = [], 0.0, 0
-    for scene in manifest["scenes"]:
-        if scene["index"] not in pair_files:
-            raise FileNotFoundError(f"no pair file for scene {scene['index']}")
-        pairs = load_pairs_csv(Path(pairs_dir) / pair_files[scene["index"]])
+    for scene in scenes:
+        pairs = load_pairs(scene)
         if cfg.strict_pairs_only:
             pairs = [p for p in pairs if p.r != 0]
         if not pairs:
             raise ValueError(f"scene {scene['index']}: no pairs left to score")
-        image = load_image(Path(data_dir) / scene["left"])
+        image = load_image(_scene_file(data_dir, scene, "left"))
         pred = predict_relative(net, image)
         rate = whdr(pred, pairs, pred_threshold=cfg.pred_threshold)
         per_scene.append({"index": scene["index"], "whdr": rate,

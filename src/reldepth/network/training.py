@@ -28,8 +28,8 @@ from .model import CLASSIFICATION, REGRESSION, DepthNet, stack_images
 @dataclass
 class TrainSchedule:
     batch_size: int = 4
-    learning_rate: float = 1e-3
-    total_iterations: int = 500
+    learning_rate: float = 2e-4
+    total_iterations: int = 300
     decay_iterations: tuple = ()
     decay_factor: float = 0.1
 
@@ -60,6 +60,7 @@ class AugmentConfig:
     flip_prob: float = 0.5
 
     def __post_init__(self):
+        self.scale_range = tuple(self.scale_range)
         lo, hi = self.scale_range
         # scaled samples are cropped back to the original grid for batching
         if not 1.0 <= lo <= hi:

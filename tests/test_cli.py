@@ -144,6 +144,27 @@ class TestStereoAndPairs:
         rows = (pair_dir / "pairs_000.csv").read_text().strip().splitlines()
         assert len(rows) == 1000
 
+    @pytest.mark.parametrize("manifest", [{}, {"scenes": [{"index": 0}]}])
+    def test_malformed_manifest_is_runtime_failure(self, tmp_path, capsys, manifest):
+        cfg = write_config(tmp_path)
+        bad = tmp_path / "bad"
+        bad.mkdir()
+        (bad / "manifest.json").write_text(json.dumps(manifest))
+        src = ["--data", str(bad)]
+        for args in (["stereo", "--in", str(bad)], ["pairs", "--in", str(bad)],
+                     ["pretrain", *src, "--pairs", str(bad)], ["finetune", *src],
+                     ["eval", *src, "--pred", str(bad)],
+                     ["whdr", *src, "--pairs", str(bad), "--ckpt", str(bad / "x.ckpt")]):
+            out = tmp_path / args[0]
+            assert run([*args, "--config", cfg, "--out", str(out)]) == 2, args
+            err = capsys.readouterr().err
+            if manifest and args[0] in ("stereo", "pairs"):
+                # a scene without its input file fails alone, in the manifest
+                assert "scene 0:" in err
+                assert len(json.loads((out / "manifest.json").read_text())["failures"]) == 1
+            else:
+                assert err.startswith("error:"), args
+
     def test_missing_input_dir_is_runtime_failure(self, tmp_path):
         cfg = write_config(tmp_path)
         rc = run(["stereo", "--config", cfg, "--in", str(tmp_path / "nothere"),
@@ -156,9 +177,14 @@ class TestConfigValidation:
     def test_bad_penalties_rejected_before_work(self, tmp_path, capsys):
         assert_config_rejected(write_config(tmp_path, **{"sgm.p1": 5.0, "sgm.p2": 1.0}),
                                tmp_path, capsys)
+        # a switch is a JSON boolean and a radius a JSON integer, not a truthy value
+        for key, value in (("sgm.median_radius", 1.7), ("sgm.median_radius", True),
+                           ("sgm.bilsub.enabled", "false"), ("sgm.bilsub.enabled", 0)):
+            assert_config_rejected(write_config(tmp_path, **{key: value}), tmp_path, capsys)
         # every seed feeds a numpy seed sequence, which takes only integers >= 0
-        for seed in ("three", 1.5, -1, True, None):
-            assert_config_rejected(write_config(tmp_path, seed=seed), tmp_path, capsys)
+        for key in ("seed", "train.net.seed"):
+            for seed in ("three", 1.5, 2.5, -1, True, None):
+                assert_config_rejected(write_config(tmp_path, **{key: seed}), tmp_path, capsys)
 
     def test_bad_bins_rejected(self, tmp_path):
         cfg = write_config(tmp_path, **{"bins.d_min": 10.0, "bins.d_max": 10.0})
@@ -167,7 +193,12 @@ class TestConfigValidation:
     def test_bad_schedule_rejected(self, tmp_path, capsys):
         for key, value in (("train.pretrain.decay_iterations", [99]),
                            ("train.pretrain.batch_size", "4"),
-                           ("train.finetune.decay_iterations", 3)):
+                           ("train.finetune.decay_iterations", 3),
+                           ("train.pretrain.pair_mean", "false"),
+                           ("train.pretrain.pair_mean", 1),
+                           ("train.pretrain.clip_norm", True),
+                           ("train.finetune.augment.enabled", "false"),
+                           ("eval.strict_pairs_only", "no")):
             assert_config_rejected(write_config(tmp_path, **{key: value}), tmp_path, capsys)
 
     def test_missing_section_rejected(self, tmp_path, capsys):
@@ -183,12 +214,40 @@ class TestConfigValidation:
                 cfg = write_config(tmp_path, **{section: value})
                 assert_config_rejected(cfg, tmp_path, capsys)
 
+    def test_unknown_keys_rejected(self, tmp_path, capsys):
+        misspelled = ("synth.cout", "sgm.p_1", "sgm.bilsub.radios", "pairs.counts",
+                      "bins.b", "train.net.stage_width", "train.pretrain.learning_rat",
+                      "train.finetune.batchsize", "train.finetune.augment.flip",
+                      "eval.pred_treshold", "train.nett", "sed")
+        # fields the code fixes, and a switch only train.pretrain reads
+        not_keys = ("sgm.border_cost", "train.net.head_mode", "train.net.in_channels",
+                    "pairs.seed", "train.finetune.pair_mean")
+        for key in misspelled + not_keys:
+            assert_config_rejected(write_config(tmp_path, **{key: 1}), tmp_path, capsys)
+
     def test_unreadable_config(self, tmp_path, capsys):
         assert_config_rejected(tmp_path / "nope.json", tmp_path, capsys)
         path = tmp_path / "c.json"
         for top_level in ([BASE_CONFIG], "config", 3, None):
             path.write_text(json.dumps(top_level))
             assert_config_rejected(path, tmp_path, capsys)
+
+
+SHIPPED_CONFIGS = sorted((Path(__file__).resolve().parent.parent / "configs").glob("*.json"))
+# (bin count, alpha, bins.d_max) the README promises for the full-scale configs
+PROMISED_BINS = {"indoor_full.json": (100, 2.0, None), "outdoor_full.json": (50, 0.2, 80.0)}
+
+
+@pytest.mark.parametrize("path", SHIPPED_CONFIGS, ids=lambda p: p.name)
+def test_shipped_config_loads(path):
+    from reldepth.cli import load_config
+
+    assert set(PROMISED_BINS) <= {p.name for p in SHIPPED_CONFIGS}
+    cfg = load_config(path)
+    if path.name in PROMISED_BINS:
+        bins, alpha, d_max = PROMISED_BINS[path.name]
+        assert (cfg.scheme.bins, cfg.gain.alpha) == (bins, alpha)
+        assert d_max is None or cfg.scheme.d_max == d_max
 
 
 class TestTrainEvalCommands:
