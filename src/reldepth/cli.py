@@ -168,7 +168,10 @@ def load_config(path, seed_override=None) -> PipelineConfig:
 
     seed = _non_negative_int(raw.pop("seed", 0), "seed")
     if seed_override is not None:
-        seed = int(seed_override)
+        # a decimal string is accepted too, as callers pass the flag's text
+        if str(seed_override).isdecimal():
+            seed_override = int(seed_override)
+        seed = _non_negative_int(seed_override, "--seed")
 
     synth = _build("synth", SynthConfig(), _section(raw, "synth"))
 
@@ -222,12 +225,12 @@ def load_config(path, seed_override=None) -> PipelineConfig:
 
     eval_sec = _section(raw, "eval", {})
     strict_pairs_only = _flag(eval_sec, "eval", "strict_pairs_only", True)
-    try:
-        pred_threshold = float(eval_sec.pop("pred_threshold", 0.0))
-    except (TypeError, ValueError) as exc:
-        raise ConfigError(f"eval: pred_threshold: {exc}") from None
-    if pred_threshold < 0:
-        raise ConfigError("eval: pred_threshold must be >= 0")
+    pred_threshold = eval_sec.pop("pred_threshold", 0.0)
+    if (isinstance(pred_threshold, bool) or not isinstance(pred_threshold, (int, float))
+            or not pred_threshold >= 0):
+        raise ConfigError(
+            f"eval: pred_threshold must be a non-negative number, got {pred_threshold!r}"
+        )
     _reject_unknown(eval_sec, "eval")
     _reject_unknown(raw, "config")
 
@@ -239,7 +242,7 @@ def load_config(path, seed_override=None) -> PipelineConfig:
         finetune=finetune, augment_cfg=augment_cfg if augment_enabled else None,
         pretrain_pair_mean=pretrain_pair_mean,
         pretrain_clip_norm=pretrain_clip, finetune_clip_norm=finetune_clip,
-        strict_pairs_only=strict_pairs_only, pred_threshold=pred_threshold,
+        strict_pairs_only=strict_pairs_only, pred_threshold=float(pred_threshold),
     )
 
 

@@ -1,6 +1,8 @@
 """Network building blocks with explicit forward/backward passes.
 
-Everything runs in float64 on (N, C, H, W) arrays. Layers cache whatever
+Everything runs in float64. Every layer takes and returns (N, C, H, W)
+arrays; inside, Conv2d works on one zero-padded NHWC copy of its input and
+hands back an (N, C, H, W) view of its NHWC result. Layers cache whatever
 their backward pass needs; backward consumes the upstream gradient, adds
 parameter gradients into each Tensor's grad slot, and returns the input
 gradient.
@@ -28,38 +30,18 @@ def he_normal(rng, shape, fan_in):
     return rng.normal(0.0, np.sqrt(2.0 / fan_in), size=shape)
 
 
-def im2col(x, ksize, stride, pad):
-    """Unfold (N, C, H, W) into (N * out_h * out_w, C * k * k) patches."""
-    n, c, h, w = x.shape
-    out_h = (h + 2 * pad - ksize) // stride + 1
-    out_w = (w + 2 * pad - ksize) // stride + 1
-    if pad > 0:
-        x = np.pad(x, ((0, 0), (0, 0), (pad, pad), (pad, pad)))
-    col = np.empty((n, c, ksize, ksize, out_h, out_w), dtype=x.dtype)
-    for i in range(ksize):
-        i_max = i + stride * out_h
-        for j in range(ksize):
-            j_max = j + stride * out_w
-            col[:, :, i, j] = x[:, :, i:i_max:stride, j:j_max:stride]
-    return col.transpose(0, 4, 5, 1, 2, 3).reshape(n * out_h * out_w, -1), out_h, out_w
-
-
-def col2im(col, x_shape, ksize, stride, pad, out_h, out_w):
-    """Fold patch gradients back onto the (N, C, H, W) input grid."""
-    n, c, h, w = x_shape
-    col = col.reshape(n, out_h, out_w, c, ksize, ksize).transpose(0, 3, 4, 5, 1, 2)
-    x = np.zeros((n, c, h + 2 * pad, w + 2 * pad), dtype=col.dtype)
-    for i in range(ksize):
-        i_max = i + stride * out_h
-        for j in range(ksize):
-            j_max = j + stride * out_w
-            x[:, :, i:i_max:stride, j:j_max:stride] += col[:, :, i, j]
-    if pad > 0:
-        return x[:, :, pad:h + pad, pad:w + pad]
-    return x
-
-
 class Conv2d:
+    """k x k convolution as k*k GEMMs on a zero-padded NHWC copy of the input.
+
+    The padded input is split into its stride x stride phases (one phase at
+    stride 1), each flattened to (N * hq * wq, C) rows. Tap (i, j) of the
+    kernel then reads phase (i % s, j % s) at the row offset
+    (i // s) * wq + j // s, a contiguous slice, so every tap is one copy-free
+    GEMM. Outputs are computed on the whole (hq, wq) phase grid, and the
+    valid (out_h, out_w) window is cut out afterwards; the rows outside it
+    straddle the padding or the next image and are discarded.
+    """
+
     def __init__(self, in_channels, out_channels, ksize, stride=1, pad=None, rng=None):
         if pad is None:
             pad = ksize // 2
@@ -77,26 +59,64 @@ class Conv2d:
     def params(self):
         return [("weight", self.weight), ("bias", self.bias)]
 
+    def _taps(self, n, hq, wq):
+        """The number of output grid rows every tap adds to, and each tap's
+        (i, j, phase, input rows): phases[phase][rows] lines up with them."""
+        k, s = self.ksize, self.stride
+        count = n * hq * wq - ((k - 1) // s) * (wq + 1)
+        taps = []
+        for i in range(k):
+            for j in range(k):
+                off = (i // s) * wq + j // s
+                taps.append((i, j, (i % s, j % s), slice(off, off + count)))
+        return count, taps
+
+    def _tap_weights(self):
+        """The kernel as k*k contiguous (Cin, Cout) matrices."""
+        return np.ascontiguousarray(self.weight.values.transpose(2, 3, 1, 0))
+
     def forward(self, x):
-        if x.shape[1] != self.in_channels:
-            raise ValueError(
-                f"conv expects {self.in_channels} input channels, got {x.shape[1]}"
-            )
-        col, out_h, out_w = im2col(x, self.ksize, self.stride, self.pad)
-        w2d = self.weight.values.reshape(self.out_channels, -1)
-        out = col @ w2d.T + self.bias.values
-        n = x.shape[0]
-        self._cache = (col, x.shape, out_h, out_w)
-        return out.reshape(n, out_h, out_w, self.out_channels).transpose(0, 3, 1, 2)
+        n, c, h, w = x.shape
+        if c != self.in_channels:
+            raise ValueError(f"conv expects {self.in_channels} input channels, got {c}")
+        k, s, p = self.ksize, self.stride, self.pad
+        out_h = (h + 2 * p - k) // s + 1
+        out_w = (w + 2 * p - k) // s + 1
+        hq, wq = -(-(h + 2 * p) // s), -(-(w + 2 * p) // s)
+        padded = np.zeros((n, hq * s, wq * s, c))
+        padded[:, p:p + h, p:p + w] = x.transpose(0, 2, 3, 1)
+        m = min(k, s)  # a 1x1 kernel at stride 2 reads only phase (0, 0)
+        phases = np.ascontiguousarray(
+            padded.reshape(n, hq, s, wq, s, c)[:, :, :m, :, :m].transpose(2, 4, 0, 1, 3, 5)
+        ).reshape(m, m, n * hq * wq, c)
+        weights = self._tap_weights()
+        grid = np.zeros((n * hq * wq, self.out_channels))
+        count, taps = self._taps(n, hq, wq)
+        for i, j, phase, rows in taps:
+            grid[:count] += phases[phase][rows] @ weights[i, j]
+        self._cache = (phases, x.shape, hq, wq, out_h, out_w)
+        out = grid.reshape(n, hq, wq, -1)[:, :out_h, :out_w]
+        out += self.bias.values
+        return out.transpose(0, 3, 1, 2)
 
     def backward(self, dout):
-        col, x_shape, out_h, out_w = self._cache
-        dflat = dout.transpose(0, 2, 3, 1).reshape(-1, self.out_channels)
-        w2d = self.weight.values.reshape(self.out_channels, -1)
-        self.weight.grad += (dflat.T @ col).reshape(self.weight.shape)
-        self.bias.grad += dflat.sum(axis=0)
-        dcol = dflat @ w2d
-        return col2im(dcol, x_shape, self.ksize, self.stride, self.pad, out_h, out_w)
+        phases, (n, c, h, w), hq, wq, out_h, out_w = self._cache
+        s, p = self.stride, self.pad
+        dgrid = np.zeros((n, hq, wq, self.out_channels))
+        dgrid[:, :out_h, :out_w] = dout.transpose(0, 2, 3, 1)
+        count, taps = self._taps(n, hq, wq)
+        dgrid = dgrid.reshape(n * hq * wq, -1)[:count]
+        weights = self._tap_weights()
+        dweights = np.empty_like(weights)
+        dphases = np.zeros((s, s) + phases.shape[2:])
+        for i, j, phase, rows in taps:
+            dweights[i, j] = phases[phase][rows].T @ dgrid
+            dphases[phase][rows] += dgrid @ weights[i, j].T
+        self.weight.grad += dweights.transpose(3, 2, 0, 1)
+        self.bias.grad += dout.sum(axis=(0, 2, 3))
+        dpadded = dphases.reshape(s, s, n, hq, wq, c).transpose(2, 3, 0, 4, 1, 5)
+        dpadded = dpadded.reshape(n, hq * s, wq * s, c)
+        return dpadded[:, p:p + h, p:p + w].transpose(0, 3, 1, 2)
 
 
 class ReLU:

@@ -185,6 +185,17 @@ class TestConfigValidation:
         for key in ("seed", "train.net.seed"):
             for seed in ("three", 1.5, 2.5, -1, True, None):
                 assert_config_rejected(write_config(tmp_path, **{key: seed}), tmp_path, capsys)
+        # so does the --seed override, given as an int or as the flag's text
+        out = tmp_path / "never"
+        assert run(["synth", "--config", write_config(tmp_path), "--seed", "-1",
+                    "--out", str(out)]) == 1
+        assert "config error:" in capsys.readouterr().err
+        assert not out.exists()
+        from reldepth.cli import ConfigError, load_config
+        assert load_config(write_config(tmp_path), seed_override="7").seed == 7
+        for seed in (-1, "-1", "three", "2.5", True, 2.5):
+            with pytest.raises(ConfigError, match="--seed"):
+                load_config(write_config(tmp_path), seed_override=seed)
 
     def test_bad_bins_rejected(self, tmp_path):
         cfg = write_config(tmp_path, **{"bins.d_min": 10.0, "bins.d_max": 10.0})
@@ -198,7 +209,10 @@ class TestConfigValidation:
                            ("train.pretrain.pair_mean", 1),
                            ("train.pretrain.clip_norm", True),
                            ("train.finetune.augment.enabled", "false"),
-                           ("eval.strict_pairs_only", "no")):
+                           ("eval.strict_pairs_only", "no"),
+                           ("eval.pred_threshold", "0.5"),
+                           ("eval.pred_threshold", True),
+                           ("eval.pred_threshold", -0.1)):
             assert_config_rejected(write_config(tmp_path, **{key: value}), tmp_path, capsys)
 
     def test_missing_section_rejected(self, tmp_path, capsys):

@@ -76,6 +76,37 @@ class TestLayers:
         )
         assert gradients_close(conv.weight.grad, num_w)
 
+    @pytest.mark.parametrize("ksize,stride,pad", [(3, 1, 1), (1, 2, 0)])
+    def test_conv_other_strides_match_finite_differences(self, ksize, stride, pad):
+        rng = np.random.default_rng(4)
+        conv = Conv2d(3, 2, ksize, stride=stride, pad=pad, rng=rng)
+        conv.bias.values[...] = rng.random(2)
+        x = rng.random((2, 3, 5, 6))
+        dout_seed = rng.random(conv.forward(x).shape)
+        conv.weight.zero_grad()
+        conv.bias.zero_grad()
+        dx = conv.backward(dout_seed)
+        assert gradients_close(
+            dx, numerical_gradient(lambda a: float((conv.forward(a) * dout_seed).sum()), x.copy())
+        )
+        num_w = numerical_gradient(
+            lambda w: float((_conv_with_weight(conv, w, x) * dout_seed).sum()),
+            conv.weight.values.copy(),
+        )
+        assert gradients_close(conv.weight.grad, num_w)
+        assert np.allclose(conv.bias.grad, dout_seed.sum(axis=(0, 2, 3)), rtol=1e-12)
+
+    @pytest.mark.parametrize("ksize,stride,pad", [(3, 1, 1), (3, 2, 1), (1, 1, 0), (1, 2, 0)])
+    def test_conv_forward_matches_nested_sum(self, ksize, stride, pad):
+        rng = np.random.default_rng(6)
+        conv = Conv2d(3, 4, ksize, stride=stride, pad=pad, rng=rng)
+        conv.bias.values[...] = rng.standard_normal(4)
+        x = rng.standard_normal((2, 3, 7, 10))
+        ref = _conv_reference(x, conv.weight.values, conv.bias.values, stride, pad)
+        out = conv.forward(x)
+        assert out.shape == ref.shape
+        assert np.abs(out - ref).max() <= 1e-12 * np.abs(ref).max()
+
     def test_relu_backward_zeroes_dead_units(self):
         relu = ReLU()
         x = np.array([[-1.0, 2.0]])
@@ -108,6 +139,23 @@ class TestLayers:
         y = rng.random((2, 3, 5, 5)) * 10
         expected = (y - norm.mu[None, :, None, None]) / norm.sigma[None, :, None, None]
         assert np.allclose(norm.forward(y), expected)
+
+
+def _conv_reference(x, weight, bias, stride, pad):
+    """Direct nested sum over output pixels of the (N, C, H, W) convolution."""
+    n, _, h, w = x.shape
+    cout, _, k, _ = weight.shape
+    xp = np.pad(x, ((0, 0), (0, 0), (pad, pad), (pad, pad)))
+    out_h = (h + 2 * pad - k) // stride + 1
+    out_w = (w + 2 * pad - k) // stride + 1
+    out = np.empty((n, cout, out_h, out_w))
+    for b in range(n):
+        for o in range(cout):
+            for y in range(out_h):
+                for x_ in range(out_w):
+                    patch = xp[b, :, y * stride:y * stride + k, x_ * stride:x_ * stride + k]
+                    out[b, o, y, x_] = bias[o] + (patch * weight[o]).sum()
+    return out
 
 
 def _conv_with_weight(conv, w, x):
