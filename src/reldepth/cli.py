@@ -41,7 +41,7 @@ from .network import (
     save_checkpoint,
 )
 from .network.model import CLASSIFICATION, RANKING
-from .ordinal import PairSampleConfig, load_pairs_csv, sample_pairs, save_pairs_csv, whdr
+from .ordinal import EQUAL, PairSampleConfig, load_pairs_csv, sample_pairs, save_pairs_csv, whdr
 
 EXIT_OK = 0
 EXIT_CONFIG = 1
@@ -489,10 +489,10 @@ def cmd_whdr(cfg: PipelineConfig, data_dir, pairs_dir, ckpt, out_dir):
     out.mkdir(parents=True, exist_ok=True)
     per_scene, disagree, total = [], 0.0, 0
     for scene in scenes:
-        pairs = load_pairs(scene)
+        pairs = np.asarray(load_pairs(scene))
         if cfg.strict_pairs_only:
-            pairs = [p for p in pairs if p.r != 0]
-        if not pairs:
+            pairs = pairs[pairs[:, 4] != EQUAL]
+        if not len(pairs):
             raise ValueError(f"scene {scene['index']}: no pairs left to score")
         image = load_image(_scene_file(data_dir, scene, "left"))
         pred = predict_relative(net, image)

@@ -8,7 +8,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .binning import InfoGainMatrix
-from .ordinal import CLOSER, EQUAL, FARTHER
+from .ordinal import CLOSER, EQUAL, check_inside, pair_rows
 
 
 @dataclass
@@ -54,36 +54,33 @@ def ranking_loss(scores, pairs, mean=False) -> LossResult:
 
     Per pair with margin m = z_i - z_j the loss is log(1 + exp(-m)) for
     r = +1, log(1 + exp(m)) for r = -1, and m^2 for r = 0, summed over
-    pairs (averaged when mean=True). Gradients accumulate only at the two
-    pixels each pair touches; the logistic terms use the stable softplus
-    form so margins up to about 1e3 are handled without overflow.
+    pairs in order (averaged when mean=True). Gradients accumulate only at
+    the two pixels each pair touches, pair by pair; the logistic terms use
+    the stable softplus form so margins up to about 1e3 are handled without
+    overflow.
     """
     z = np.asarray(scores, dtype=np.float64)
     if z.ndim != 2:
         raise ValueError(f"score map must be 2-D, got shape {z.shape}")
-    if not pairs:
+    rows = pair_rows(pairs)
+    if not len(rows):
         raise ValueError("need at least one pair")
     h, w = z.shape
-    grad = np.zeros_like(z)
-    total = 0.0
-    for pair in pairs:
-        for pt in (pair.i, pair.j):
-            if not (0 <= pt[0] < h and 0 <= pt[1] < w):
-                raise ValueError(f"pair coordinate {pt} outside {h}x{w} map")
-        m = z[pair.i] - z[pair.j]
-        if pair.r == CLOSER:
-            total += float(softplus(-m))
-            dm = float(sigmoid(m)) - 1.0
-        elif pair.r == FARTHER:
-            total += float(softplus(m))
-            dm = float(sigmoid(m))
-        else:  # EQUAL
-            total += m * m
-            dm = 2.0 * m
-        grad[pair.i] += dm
-        grad[pair.j] -= dm
+    check_inside(rows, h, w)
+    at_i = rows[:, 0] * w + rows[:, 1]
+    at_j = rows[:, 2] * w + rows[:, 3]
+    m = z.ravel()[at_i] - z.ravel()[at_j]
+    r = rows[:, 4]
+    s = sigmoid(m)
+    terms = np.where(r == EQUAL, m * m, softplus(np.where(r == CLOSER, -m, m)))
+    dm = np.where(r == EQUAL, 2.0 * m, np.where(r == CLOSER, s - 1.0, s))
+    # a running sum and an in-order scatter keep the per-pair loop's rounding
+    total = float(np.cumsum(terms)[-1])
+    grad = np.bincount(np.stack([at_i, at_j], axis=1).ravel(),
+                       weights=np.stack([dm, -dm], axis=1).ravel(),
+                       minlength=h * w).reshape(h, w)
     if mean:
-        k = len(pairs)
+        k = len(rows)
         total /= k
         grad /= k
     return LossResult(total, grad)

@@ -21,7 +21,7 @@ from ..binning import BinningScheme, InfoGainMatrix, depth_to_bin
 from ..imagery.augment import augment, resize_depth
 from ..imagery.types import DepthMap, Image
 from ..losses import LossResult, infogain_loss, ranking_loss
-from ..ordinal import OrdinalPair
+from ..ordinal import PairSet, check_inside, pair_rows
 from .model import CLASSIFICATION, REGRESSION, DepthNet, stack_images
 
 
@@ -107,13 +107,9 @@ def map_pairs_to_grid(pairs, stride):
     Pairs whose endpoints land in the same output cell carry no ranking
     signal at the network's resolution and are dropped.
     """
-    mapped = []
-    for p in pairs:
-        gi = (p.i[0] // stride, p.i[1] // stride)
-        gj = (p.j[0] // stride, p.j[1] // stride)
-        if gi != gj:
-            mapped.append(OrdinalPair(gi, gj, p.r))
-    return mapped
+    grid = pair_rows(pairs).copy()
+    grid[:, :4] //= stride
+    return PairSet(grid[(grid[:, 0] != grid[:, 2]) | (grid[:, 1] != grid[:, 3])])
 
 
 def _augmented(image, depth, aug: AugmentConfig, rng):
@@ -174,15 +170,17 @@ def pretrain_ranking(net: DepthNet, dataset, schedule: TrainSchedule, seed=0,
     """SGD on the pairwise ranking loss.
 
     dataset is a list of (Image, pairs) with pair coordinates at image
-    resolution; they are projected onto the network's output grid once up
-    front. Returns the per-iteration history of {iter, loss, lr}.
+    resolution. Before any step each sample's pairs are checked against its
+    image and projected onto the network's output grid. Returns the
+    per-iteration history of {iter, loss, lr}.
     """
     stride = net.config.total_stride
     grid_dataset = []
-    for image, pairs in dataset:
+    for n, (image, pairs) in enumerate(dataset):
+        check_inside(pair_rows(pairs), image.height, image.width, prefix=f"sample {n}: ")
         mapped = map_pairs_to_grid(pairs, stride)
-        if not mapped:
-            raise ValueError("a sample has no pairs left at grid resolution")
+        if not len(mapped):
+            raise ValueError(f"sample {n} has no pairs left at grid resolution")
         grid_dataset.append((image, mapped))
 
     def pair_loss(scores, grid_pairs):

@@ -5,10 +5,14 @@ closer, 0 when the two values differ by at most an equality threshold. For
 disparities, larger means closer; for depths, smaller means closer. WHDR is
 the fraction of pairs whose predicted relation disagrees with the stored one,
 all pair weights set to 1.
+
+A pair set is a (K, 5) int64 array with one row row_i, col_i, row_j, col_j, r
+per pair, the layout of the pair CSV. Every stage works on the whole array.
 """
 
-import csv
+from collections import namedtuple
 from dataclasses import dataclass
+from itertools import compress
 
 import numpy as np
 
@@ -19,17 +23,67 @@ FARTHER = -1
 EQUAL = 0
 
 
-@dataclass(frozen=True)
-class OrdinalPair:
-    i: tuple  # (row, col)
-    j: tuple  # (row, col)
-    r: int
+# one row of a pair set, as Python ints
+OrdinalPair = namedtuple("OrdinalPair", "row_i col_i row_j col_j r")
 
-    def __post_init__(self):
-        if tuple(self.i) == tuple(self.j):
-            raise ValueError("pair endpoints must differ")
-        if self.r not in (CLOSER, FARTHER, EQUAL):
-            raise ValueError(f"relation must be -1, 0 or +1, got {self.r}")
+
+def _check_rows(rows, where):
+    """Raise ValueError, naming where(k), for the first row k of rows that
+    is not a pair."""
+    same = (rows[:, 0] == rows[:, 2]) & (rows[:, 1] == rows[:, 3])
+    bad = np.flatnonzero(same | ~np.isin(rows[:, 4], (CLOSER, FARTHER, EQUAL)))
+    if bad.size:
+        k = bad[0]
+        reason = ("pair endpoints must differ" if same[k]
+                  else f"relation must be -1, 0 or +1, got {rows[k, 4]}")
+        raise ValueError(f"{where(k)}: {reason}")
+
+
+class PairSet:
+    """A checked pair set: ``rows`` is a read-only (K, 5) int64 array.
+
+    np.asarray(pair_set) is the rows without a copy, len() is K, and
+    iterating yields one OrdinalPair per row.
+    """
+
+    __slots__ = ("rows",)
+
+    def __init__(self, rows):
+        rows = np.array(rows, dtype=np.int64)
+        if rows.size == 0:
+            rows = rows.reshape(0, 5)
+        if rows.ndim != 2 or rows.shape[1] != 5:
+            raise ValueError(f"pair rows must have shape (K, 5), got {rows.shape}")
+        _check_rows(rows, lambda k: f"pair {k}")
+        rows.flags.writeable = False
+        self.rows = rows
+
+    def __len__(self):
+        return len(self.rows)
+
+    def __iter__(self):
+        return map(OrdinalPair._make, self.rows.tolist())
+
+    def __array__(self, dtype=None, copy=None):
+        return np.array(self.rows, dtype=dtype, copy=copy)
+
+
+def pair_rows(pairs):
+    """The (K, 5) rows of a PairSet, or of any array-like of pair rows
+    (a list of OrdinalPairs or 5-tuples), checked."""
+    return pairs.rows if isinstance(pairs, PairSet) else PairSet(pairs).rows
+
+
+def check_inside(rows, h, w, prefix=""):
+    """Raise ValueError for the first endpoint of the int64 pair rows, in
+    pair order, outside an h x w map. A gather would wrap a negative
+    coordinate round without a word; read as unsigned, it is too large."""
+    pts = rows[:, :4].reshape(-1, 2)
+    big = pts.view(np.uint64)
+    out = np.flatnonzero((big[:, 0] >= h) | (big[:, 1] >= w))
+    if out.size:
+        pt = tuple(pts[out[0]].tolist())
+        raise ValueError(f"{prefix}pair coordinate {pt} outside {h}x{w} map")
 
 
 @dataclass
@@ -46,51 +100,50 @@ class PairSampleConfig:
 
 
 def relation_from_values(v_i, v_j, threshold, larger_is_closer):
-    """Ordinal relation of two depth-orderable values.
+    """Ordinal relation of two depth-orderable values, elementwise.
 
-    Returns 0 when |v_i - v_j| <= threshold, otherwise +1 if i is the closer
-    point under the ordering flag and -1 if j is.
+    Returns 0 where |v_i - v_j| <= threshold, otherwise +1 where i is the
+    closer point under the ordering flag and -1 where j is. Values are
+    compared in float64; two scalars give an int, arrays an int64 array.
     """
-    if not (np.isfinite(v_i) and np.isfinite(v_j)):
+    v_i = np.asarray(v_i, dtype=np.float64)
+    v_j = np.asarray(v_j, dtype=np.float64)
+    if not (np.isfinite(v_i).all() and np.isfinite(v_j).all()):
         raise ValueError("values must be finite")
     if threshold < 0:
         raise ValueError("threshold must be >= 0")
-    if abs(v_i - v_j) <= threshold:
-        return EQUAL
     i_closer = v_i > v_j if larger_is_closer else v_i < v_j
-    return CLOSER if i_closer else FARTHER
+    rel = np.where(np.abs(v_i - v_j) <= threshold, EQUAL,
+                   np.where(i_closer, CLOSER, FARTHER))
+    return int(rel) if rel.ndim == 0 else rel
 
 
 def sample_pairs(disparity: DepthMap, cfg: PairSampleConfig):
     """Draw cfg.count ordinal pairs of distinct valid pixels, uniformly.
 
     Relations follow the disparity ordering (larger = closer) with the
-    configured equality threshold. The same map and seed always produce the
-    same list.
+    configured equality threshold. Endpoints are drawn in batches of the
+    pairs still missing, and draws with equal endpoints are dropped, so the
+    same map and seed always produce the same PairSet.
     """
     ys, xs = np.nonzero(disparity.mask)
     n = len(ys)
     if n < 2:
         raise ValueError("need at least 2 valid pixels to sample pairs")
     rng = np.random.default_rng(cfg.seed)
-    pairs = []
-    while len(pairs) < cfg.count:
-        want = cfg.count - len(pairs)
+    a_kept, b_kept, have = [], [], 0
+    while have < cfg.count:
+        want = cfg.count - have
         a = rng.integers(0, n, size=want)
         b = rng.integers(0, n, size=want)
-        for ia, ib in zip(a, b):
-            if ia == ib:
-                continue
-            pi = (int(ys[ia]), int(xs[ia]))
-            pj = (int(ys[ib]), int(xs[ib]))
-            r = relation_from_values(
-                float(disparity.values[pi]), float(disparity.values[pj]),
-                cfg.eq_threshold, larger_is_closer=True,
-            )
-            pairs.append(OrdinalPair(pi, pj, r))
-            if len(pairs) == cfg.count:
-                break
-    return pairs
+        keep = a != b
+        a_kept.append(a[keep])
+        b_kept.append(b[keep])
+        have += int(keep.sum())
+    a, b = np.concatenate(a_kept), np.concatenate(b_kept)
+    r = relation_from_values(disparity.values[ys[a], xs[a]], disparity.values[ys[b], xs[b]],
+                             cfg.eq_threshold, larger_is_closer=True)
+    return PairSet(np.stack([ys[a], xs[a], ys[b], xs[b], r], axis=1))
 
 
 def whdr(pred: DepthMap, pairs, pred_threshold=0.0):
@@ -99,41 +152,57 @@ def whdr(pred: DepthMap, pairs, pred_threshold=0.0):
     The prediction is read with depth ordering (smaller = closer). Every pair
     has weight 1; pairs indexing invalid or out-of-bounds pixels are an error.
     """
-    if not pairs:
+    rows = pair_rows(pairs)
+    if not len(rows):
         raise ValueError("need at least one pair")
     h, w = pred.values.shape
-    disagree = 0
-    for pair in pairs:
-        for pt in (pair.i, pair.j):
-            if not (0 <= pt[0] < h and 0 <= pt[1] < w):
-                raise ValueError(f"pair coordinate {pt} outside {h}x{w} map")
-            if not pred.mask[pt]:
-                raise ValueError(f"pair coordinate {pt} is invalid in the prediction")
-        got = relation_from_values(
-            float(pred.values[pair.i]), float(pred.values[pair.j]),
-            pred_threshold, larger_is_closer=False,
-        )
-        if got != pair.r:
-            disagree += 1
-    return disagree / len(pairs)
+    check_inside(rows, h, w)
+    pts = rows[:, :4].reshape(-1, 2)
+    invalid = np.flatnonzero(~pred.mask[pts[:, 0], pts[:, 1]])
+    if invalid.size:
+        pt = tuple(pts[invalid[0]].tolist())
+        raise ValueError(f"pair coordinate {pt} is invalid in the prediction")
+    got = relation_from_values(pred.values[rows[:, 0], rows[:, 1]],
+                               pred.values[rows[:, 2], rows[:, 3]],
+                               pred_threshold, larger_is_closer=False)
+    return np.count_nonzero(got != rows[:, 4]) / len(rows)
 
 
 def save_pairs_csv(pairs, path):
-    """One pair per line: row_i,col_i,row_j,col_j,r (integer fields)."""
+    """One pair per line: row_i,col_i,row_j,col_j,r (integer fields), with
+    the csv module's \\r\\n line ends."""
+    rows = pair_rows(pairs)
     with open(path, "w", newline="") as fh:
-        writer = csv.writer(fh)
-        for p in pairs:
-            writer.writerow([p.i[0], p.i[1], p.j[0], p.j[1], p.r])
+        fh.write(("%d,%d,%d,%d,%d\r\n" * len(rows)) % tuple(rows.ravel().tolist()))
+
+
+_INT_FIELDS = {"delimiter": ",", "dtype": np.int64, "comments": None, "ndmin": 2}
+
+
+def _five_ints(line):
+    try:
+        return np.loadtxt([line], **_INT_FIELDS).shape == (1, 5)
+    except (ValueError, OverflowError):
+        return False
 
 
 def load_pairs_csv(path):
-    pairs = []
+    """The PairSet a pair CSV holds. Blank lines are skipped; any other line
+    that is not five integer fields forming a pair is an error naming
+    path:line."""
     with open(path, newline="") as fh:
-        for lineno, row in enumerate(csv.reader(fh), start=1):
-            if not row:
-                continue
-            if len(row) != 5:
-                raise ValueError(f"{path}:{lineno}: expected 5 fields, got {len(row)}")
-            ri, ci, rj, cj, r = (int(v) for v in row)
-            pairs.append(OrdinalPair((ri, ci), (rj, cj), r))
-    return pairs
+        lines = fh.read().splitlines()
+    nonblank = np.fromiter(map(bool, lines), bool, len(lines))
+    linenos = np.flatnonzero(nonblank) + 1
+    lines = list(compress(lines, nonblank))
+    if not lines:
+        return PairSet([])
+    try:
+        rows = np.loadtxt(lines, **_INT_FIELDS)
+    except (ValueError, OverflowError):
+        rows = None
+    if rows is None or rows.shape != (len(lines), 5):
+        k = np.flatnonzero(~np.fromiter(map(_five_ints, lines), bool, len(lines)))[0]
+        raise ValueError(f"{path}:{linenos[k]}: expected 5 integer fields, got {lines[k]!r}")
+    _check_rows(rows, lambda k: f"{path}:{linenos[k]}")
+    return PairSet(rows)

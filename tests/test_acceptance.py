@@ -37,7 +37,7 @@ from reldepth.network import (
     pretrain_ranking,
     save_checkpoint,
 )
-from reldepth.ordinal import OrdinalPair, PairSampleConfig, sample_pairs
+from reldepth.ordinal import PairSampleConfig, sample_pairs
 
 pytestmark = pytest.mark.acceptance
 
@@ -113,7 +113,7 @@ def random_pairs(rng, h, w, count):
         a = tuple(int(v) for v in (rng.integers(0, h), rng.integers(0, w)))
         b = tuple(int(v) for v in (rng.integers(0, h), rng.integers(0, w)))
         if a != b:
-            pairs.append(OrdinalPair(a, b, int(rng.choice([-1, 0, 1]))))
+            pairs.append((*a, *b, int(rng.choice([-1, 0, 1]))))
     return pairs
 
 
@@ -189,7 +189,7 @@ def test_criterion_3_gradient_suites():
 
 
 def test_criterion_4_closed_form_losses():
-    res = ranking_loss(np.zeros((1, 2)), [OrdinalPair((0, 0), (0, 1), 1)])
+    res = ranking_loss(np.zeros((1, 2)), [(0, 0, 0, 1, 1)])
     assert abs(res.value - np.log(2.0)) <= 1e-12
 
     gain = info_gain_matrix(2, 2.0)

@@ -335,6 +335,35 @@ class TestTrainEvalCommands:
         assert "no scenes to score" in capsys.readouterr().err
         assert not (out / "whdr.json").exists()
 
+    def test_pair_outside_its_image_fails_pretrain(self, pipeline, capsys):
+        cfg, d = pipeline
+        assert run(["synth", "--config", cfg, "--out", d["synth"]]) == 0
+        assert run(["pairs", "--config", cfg, "--in", d["synth"], "--out", d["pairs"]]) == 0
+        with open(Path(d["pairs"]) / "pairs_001.csv", "a") as fh:
+            fh.write("200,200,0,0,1\n")
+        assert run(["pretrain", "--config", cfg, "--data", d["synth"],
+                    "--pairs", d["pairs"], "--out", d["pre"]]) == 2
+        err = capsys.readouterr().err
+        assert "sample 1: pair coordinate (200, 200) outside 32x32 map" in err
+        assert "diverged" not in err
+        assert not (Path(d["pre"]) / "model.ckpt").exists()
+
+    def test_whdr_with_only_equal_pairs_left_is_runtime_failure(self, pipeline, capsys):
+        from reldepth.cli import load_config
+        from reldepth.network import DepthNet, save_checkpoint
+
+        cfg, d = pipeline  # the base config scores strict pairs only
+        assert run(["synth", "--config", cfg, "--out", d["synth"]]) == 0
+        assert run(["pairs", "--config", cfg, "--in", d["synth"], "--out", d["pairs"]]) == 0
+        (Path(d["pairs"]) / "pairs_000.csv").write_text("0,0,1,1,0\n2,2,0,5,0\n")
+        ckpt = Path(d["pre"]) / "model.ckpt"
+        ckpt.parent.mkdir()
+        save_checkpoint(DepthNet(load_config(cfg).net), ckpt, iteration=0)
+        assert run(["whdr", "--config", cfg, "--data", d["synth"], "--pairs", d["pairs"],
+                    "--ckpt", str(ckpt), "--out", d["whdr"]]) == 2
+        assert "scene 0: no pairs left to score" in capsys.readouterr().err
+        assert not (Path(d["whdr"]) / "whdr.json").exists()
+
     def test_training_commands_deterministic(self, pipeline):
         cfg, d = pipeline
         self._through_pairs(cfg, d)

@@ -4,7 +4,6 @@ import pytest
 from gradcheck import gradients_close, numerical_gradient
 from reldepth.binning import InfoGainMatrix, info_gain_matrix
 from reldepth.losses import infogain_loss, ranking_loss, sigmoid, softmax, softplus
-from reldepth.ordinal import OrdinalPair
 
 
 def random_pairs(rng, h, w, count, relations=(-1, 0, 1)):
@@ -13,7 +12,7 @@ def random_pairs(rng, h, w, count, relations=(-1, 0, 1)):
         a = tuple(int(v) for v in (rng.integers(0, h), rng.integers(0, w)))
         b = tuple(int(v) for v in (rng.integers(0, h), rng.integers(0, w)))
         if a != b:
-            pairs.append(OrdinalPair(a, b, int(rng.choice(relations))))
+            pairs.append((*a, *b, int(rng.choice(relations))))
     return pairs
 
 
@@ -42,25 +41,25 @@ class TestSoftmax:
 class TestRankingLoss:
     def test_equal_pair_at_minimum(self):
         z = np.zeros((1, 2))
-        res = ranking_loss(z, [OrdinalPair((0, 0), (0, 1), 0)])
+        res = ranking_loss(z, [(0, 0, 0, 1, 0)])
         assert res.value == 0.0
         assert np.all(res.gradient == 0.0)
 
     def test_zero_margin_closer_pair(self):
-        res = ranking_loss(np.zeros((1, 2)), [OrdinalPair((0, 0), (0, 1), 1)])
+        res = ranking_loss(np.zeros((1, 2)), [(0, 0, 0, 1, 1)])
         assert res.value == pytest.approx(np.log(2), abs=1e-12)
         assert res.gradient[0, 0] == pytest.approx(-0.5, abs=1e-12)
         assert res.gradient[0, 1] == pytest.approx(0.5, abs=1e-12)
 
     def test_margin_two(self):
         z = np.array([[2.0, 0.0]])
-        res = ranking_loss(z, [OrdinalPair((0, 0), (0, 1), 1)])
+        res = ranking_loss(z, [(0, 0, 0, 1, 1)])
         assert res.value == pytest.approx(np.log1p(np.exp(-2.0)), abs=1e-12)
 
     def test_huge_margin_stable(self):
         z = np.array([[1000.0, 0.0]])
-        win = ranking_loss(z, [OrdinalPair((0, 0), (0, 1), 1)])
-        lose = ranking_loss(z, [OrdinalPair((0, 0), (0, 1), -1)])
+        win = ranking_loss(z, [(0, 0, 0, 1, 1)])
+        lose = ranking_loss(z, [(0, 0, 0, 1, -1)])
         assert win.value == pytest.approx(0.0, abs=1e-12)
         assert lose.value == pytest.approx(1000.0, rel=1e-12)
 
@@ -106,7 +105,7 @@ class TestRankingLoss:
 
     def test_out_of_bounds_pair(self):
         with pytest.raises(ValueError):
-            ranking_loss(np.zeros((2, 2)), [OrdinalPair((0, 0), (9, 9), 1)])
+            ranking_loss(np.zeros((2, 2)), [(0, 0, 9, 9, 1)])
 
     def test_empty_pairs(self):
         with pytest.raises(ValueError):

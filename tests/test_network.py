@@ -1,3 +1,5 @@
+import json
+
 import numpy as np
 import pytest
 
@@ -25,7 +27,6 @@ from reldepth.network import (
     pretrain_ranking,
     save_checkpoint,
 )
-from reldepth.ordinal import OrdinalPair
 
 TINY = NetConfig(stage_widths=(3, 4, 5), stage_blocks=(1, 1, 1), stage_strides=(1, 2, 2),
                  head_widths=(6,), head_mode="ranking", head_channels=1, seed=7)
@@ -249,8 +250,7 @@ def full_parameter_gradient_check(net, loss_from_scores, input_shape, seed):
 class TestWholeNetGradients:
     def test_ranking_loss_every_parameter(self):
         net = tiny_net()
-        pairs = [OrdinalPair((0, 0), (1, 1), 1), OrdinalPair((0, 1), (1, 0), -1),
-                 OrdinalPair((1, 1), (0, 1), 0)]
+        pairs = [(0, 0, 1, 1, 1), (0, 1, 1, 0, -1), (1, 1, 0, 1, 0)]
         full_parameter_gradient_check(
             net, lambda out: ranking_loss(out[0, 0], pairs), (1, 3, 16, 16), seed=10
         )
@@ -274,7 +274,7 @@ class TestWholeNetGradients:
             rng = np.random.default_rng(1000 + seed)
             net = tiny_net(seed=seed)
             x = rng.random((1, 3, 16, 16))
-            pairs = [OrdinalPair((0, 0), (1, 1), 1), OrdinalPair((1, 0), (0, 1), 0)]
+            pairs = [(0, 0, 1, 1, 1), (1, 0, 0, 1, 0)]
             net.forward(x)
 
             def loss():
@@ -339,7 +339,7 @@ class TestTraining:
     def test_zero_learning_rate_is_identity(self):
         net = tiny_net()
         img, _ = overfit_sample()
-        pairs = [OrdinalPair((0, 0), (20, 20), 1)]
+        pairs = [(0, 0, 20, 20, 1)]
         before = {n: t.values.copy() for n, t in net.named_params()}
         sched = TrainSchedule(batch_size=1, learning_rate=0.0, total_iterations=5)
         pretrain_ranking(net, [(img, pairs)], sched, seed=1)
@@ -348,7 +348,7 @@ class TestTraining:
 
     def test_same_seed_identical_trajectories(self):
         img, _ = overfit_sample()
-        pairs = [OrdinalPair((0, 0), (20, 20), 1), OrdinalPair((8, 8), (28, 2), -1)]
+        pairs = [(0, 0, 20, 20, 1), (8, 8, 28, 2, -1)]
         sched = TrainSchedule(batch_size=2, learning_rate=1e-4, total_iterations=8)
         h1 = pretrain_ranking(tiny_net(), [(img, pairs)], sched, seed=5)
         h2 = pretrain_ranking(tiny_net(), [(img, pairs)], sched, seed=5)
@@ -379,7 +379,7 @@ class TestTraining:
             b = tuple(int(v) for v in rng.integers(0, 32, 2))
             if a != b and (a[1] // 16) != (b[1] // 16):
                 vi, vj = depth.values[a], depth.values[b]
-                pairs.append(OrdinalPair(a, b, 1 if vi < vj else -1))
+                pairs.append((*a, *b, 1 if vi < vj else -1))
         net = tiny_net(seed=34)
         sched = TrainSchedule(batch_size=1, learning_rate=2e-4, total_iterations=200)
         hist = pretrain_ranking(net, [(img, pairs)], sched, seed=35)
@@ -459,7 +459,7 @@ class TestTraining:
 
     def test_gradient_clipping_bounds_the_step(self):
         img, _ = overfit_sample()
-        pairs = [OrdinalPair((0, 0), (20, 20), 0)]
+        pairs = [(0, 0, 20, 20, 0)]
         sched = TrainSchedule(batch_size=1, learning_rate=1.0, total_iterations=1)
         clipped = tiny_net(seed=90)
         free = tiny_net(seed=90)
@@ -499,7 +499,7 @@ def trainer_case(name):
     **kwargs) running that trainer on one 32x32 sample."""
     img, depth = overfit_sample()
     if name == "ranking":
-        pairs = [OrdinalPair((0, 0), (20, 20), 1), OrdinalPair((8, 8), (28, 2), -1)]
+        pairs = [(0, 0, 20, 20, 1), (8, 8, 28, 2, -1)]
         return tiny_net(), lambda net, sched, **kw: pretrain_ranking(
             net, [(img, pairs)], sched, seed=1, **kw)
     if name == "classification":
@@ -568,15 +568,68 @@ def test_trainers_call_the_benchmark_hook_names(name, monkeypatch):
     assert called == HOOKED[name]
 
 
+def test_pair_sets_meet_the_benchmark_contract(tmp_path):
+    """bench/replay.py takes len() of pair sets, sums p.r over the items they
+    yield into JSON span attributes, and hands whdr a list of those items."""
+    from reldepth.ordinal import (
+        EQUAL,
+        PairSampleConfig,
+        load_pairs_csv,
+        sample_pairs,
+        save_pairs_csv,
+        whdr,
+    )
+
+    rng = np.random.default_rng(5)
+    values = rng.integers(1, 5, size=(32, 32)).astype(np.float32)
+    sampled = sample_pairs(DepthMap(values, kind="disparity"),
+                           PairSampleConfig(count=200, eq_threshold=0.5, seed=5))
+    save_pairs_csv(sampled, tmp_path / "pairs.csv")
+    loaded = load_pairs_csv(tmp_path / "pairs.csv")
+    pred = DepthMap(values, kind="depth")
+    for pairs in (sampled, loaded, map_pairs_to_grid(loaded, 8)):
+        items = list(pairs)
+        assert len(pairs) == len(items) > 0
+        assert all(type(p.r) is int for p in items)
+        attrs = {"pairs": len(pairs), "equal": sum(p.r == EQUAL for p in items)}
+        assert json.loads(json.dumps(attrs)) == attrs
+    strict = [p for p in loaded if p.r != EQUAL]
+    rows = np.asarray(loaded)
+    assert 0 < len(strict) < len(loaded)
+    assert whdr(pred, strict) == whdr(pred, rows[rows[:, 4] != EQUAL])
+
+
+class TestPretrainSetUp:
+    def test_pair_outside_its_image_fails_before_any_step(self):
+        img, _ = overfit_sample()
+        net = tiny_net()
+        before = {n: t.values.copy() for n, t in net.named_params()}
+        steps = []
+        dataset = [(img, [(0, 0, 20, 20, 1)]), (img, [(0, 0, 20, 20, 1), (0, 0, 200, 200, 1)])]
+        sched = TrainSchedule(batch_size=1, learning_rate=1e-3, total_iterations=3)
+        with pytest.raises(ValueError) as err:
+            pretrain_ranking(net, dataset, sched, seed=0, log_fn=steps.append)
+        assert str(err.value) == "sample 1: pair coordinate (200, 200) outside 32x32 map"
+        assert steps == []
+        for n, t in net.named_params():
+            assert np.array_equal(before[n], t.values), n
+
+    def test_negative_coordinate_rejected(self):
+        img, _ = overfit_sample()
+        with pytest.raises(ValueError, match=r"sample 0: pair coordinate \(0, -1\)"):
+            pretrain_ranking(tiny_net(), [(img, [(0, -1, 20, 20, 1)])],
+                             TrainSchedule(batch_size=1, total_iterations=1), seed=0)
+
+
 class TestPairMapping:
     def test_coordinates_divided_by_stride(self):
-        pairs = [OrdinalPair((9, 17), (25, 3), 1)]
+        pairs = [(9, 17, 25, 3, 1)]
         mapped = map_pairs_to_grid(pairs, 8)
-        assert mapped == [OrdinalPair((1, 2), (3, 0), 1)]
+        assert np.array_equal(mapped, [(1, 2, 3, 0, 1)])
 
     def test_collapsing_pairs_dropped(self):
-        pairs = [OrdinalPair((0, 0), (7, 7), 1), OrdinalPair((0, 0), (15, 15), -1)]
-        assert map_pairs_to_grid(pairs, 8) == [OrdinalPair((0, 0), (1, 1), -1)]
+        pairs = [(0, 0, 7, 7, 1), (0, 0, 15, 15, -1)]
+        assert np.array_equal(map_pairs_to_grid(pairs, 8), [(0, 0, 1, 1, -1)])
 
 
 class TestPrediction:

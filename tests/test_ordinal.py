@@ -1,10 +1,16 @@
+import re
+
 import numpy as np
 import pytest
 
+import pair_loops as loops
 from reldepth.imagery import DISPARITY, DepthMap
+from reldepth.losses import ranking_loss
+from reldepth.network import map_pairs_to_grid
 from reldepth.ordinal import (
     OrdinalPair,
     PairSampleConfig,
+    PairSet,
     load_pairs_csv,
     relation_from_values,
     sample_pairs,
@@ -45,9 +51,9 @@ class TestRelation:
 
     def test_pair_validation(self):
         with pytest.raises(ValueError):
-            OrdinalPair((0, 0), (0, 0), 1)
+            PairSet([(0, 0, 0, 0, 1)])
         with pytest.raises(ValueError):
-            OrdinalPair((0, 0), (0, 1), 2)
+            PairSet([(0, 0, 0, 1, 2)])
 
 
 def two_layer_map():
@@ -68,7 +74,7 @@ class TestSamplePairs:
                              PairSampleConfig(count=200, eq_threshold=0.5, seed=2))
         dm = two_layer_map()
         for p in pairs:
-            vi, vj = dm.values[p.i], dm.values[p.j]
+            vi, vj = dm.values[p.row_i, p.col_i], dm.values[p.row_j, p.col_j]
             if vi != vj:
                 assert p.r == (1 if vi > vj else -1)
             else:
@@ -76,7 +82,8 @@ class TestSamplePairs:
 
     def test_determinism(self):
         cfg = PairSampleConfig(count=64, eq_threshold=1.0, seed=9)
-        assert sample_pairs(two_layer_map(), cfg) == sample_pairs(two_layer_map(), cfg)
+        assert np.array_equal(sample_pairs(two_layer_map(), cfg),
+                              sample_pairs(two_layer_map(), cfg))
 
     def test_pairs_land_on_valid_pixels(self):
         values = np.full((6, 6), 3.0, dtype=np.float32)
@@ -85,7 +92,7 @@ class TestSamplePairs:
         dm = DepthMap(values, mask, kind=DISPARITY)
         pairs = sample_pairs(dm, PairSampleConfig(count=30, eq_threshold=0.0, seed=3))
         for p in pairs:
-            assert mask[p.i] and mask[p.j]
+            assert mask[p.row_i, p.col_i] and mask[p.row_j, p.col_j]
 
     def test_self_consistency_with_relation(self):
         rng = np.random.default_rng(5)
@@ -95,7 +102,8 @@ class TestSamplePairs:
         pairs = sample_pairs(dm, PairSampleConfig(count=100, eq_threshold=tau, seed=6))
         for p in pairs:
             assert p.r == relation_from_values(
-                float(values[p.i]), float(values[p.j]), tau, larger_is_closer=True
+                float(values[p.row_i, p.col_i]), float(values[p.row_j, p.col_j]), tau,
+                larger_is_closer=True,
             )
 
     def test_needs_two_valid_pixels(self):
@@ -113,10 +121,10 @@ class TestWhdr:
         values[:, 4:] = 2.0
         pred = DepthMap(values, kind="depth")
         pairs = [
-            OrdinalPair((0, 6), (0, 1), +1),  # near point is closer
-            OrdinalPair((1, 1), (1, 7), -1),
-            OrdinalPair((2, 0), (3, 2), 0),
-            OrdinalPair((2, 5), (3, 6), 0),
+            (0, 6, 0, 1, +1),  # near point is closer
+            (1, 1, 1, 7, -1),
+            (2, 0, 3, 2, 0),
+            (2, 5, 3, 6, 0),
         ]
         return pred, pairs
 
@@ -126,12 +134,12 @@ class TestWhdr:
 
     def test_total_disagreement_on_strict_pairs(self):
         pred, _ = self._consistent_setup()
-        pairs = [OrdinalPair((0, 6), (0, 1), -1), OrdinalPair((1, 1), (1, 7), +1)]
+        pairs = [(0, 6, 0, 1, -1), (1, 1, 1, 7, +1)]
         assert whdr(pred, pairs, pred_threshold=0.0) == 1.0
 
     def test_quarter_disagreement(self):
         pred, pairs = self._consistent_setup()
-        pairs = pairs[:3] + [OrdinalPair((2, 5), (3, 6), +1)]  # one wrong
+        pairs = pairs[:3] + [(2, 5, 3, 6, +1)]  # one wrong
         assert whdr(pred, pairs, pred_threshold=0.0) == 0.25
 
     def test_monotone_transform_invariance(self):
@@ -143,7 +151,7 @@ class TestWhdr:
             a = tuple(int(v) for v in rng.integers(0, 12, 2))
             b = tuple(int(v) for v in rng.integers(0, 12, 2))
             if a != b:
-                pairs.append(OrdinalPair(a, b, int(rng.choice([-1, 0, 1]))))
+                pairs.append((*a, *b, int(rng.choice([-1, 0, 1]))))
         base = whdr(pred, pairs, pred_threshold=0.0)
         transformed = DepthMap(np.exp(values / 4.0).astype(np.float32), kind="depth")
         assert whdr(transformed, pairs, pred_threshold=0.0) == base
@@ -151,22 +159,22 @@ class TestWhdr:
     def test_out_of_bounds_pair(self):
         pred = DepthMap(np.ones((2, 2), dtype=np.float32), kind="depth")
         with pytest.raises(ValueError):
-            whdr(pred, [OrdinalPair((0, 0), (5, 5), 1)])
+            whdr(pred, [(0, 0, 5, 5, 1)])
 
     def test_invalid_pixel_pair(self):
         mask = np.ones((2, 2), bool)
         mask[1, 1] = False
         pred = DepthMap(np.ones((2, 2), dtype=np.float32), mask, kind="depth")
         with pytest.raises(ValueError):
-            whdr(pred, [OrdinalPair((0, 0), (1, 1), 1)])
+            whdr(pred, [(0, 0, 1, 1, 1)])
 
 
 class TestCsv:
     def test_round_trip(self, tmp_path):
-        pairs = [OrdinalPair((0, 1), (2, 3), -1), OrdinalPair((4, 5), (6, 7), 0)]
+        pairs = [(0, 1, 2, 3, -1), (4, 5, 6, 7, 0)]
         path = tmp_path / "pairs.csv"
         save_pairs_csv(pairs, path)
-        assert load_pairs_csv(path) == pairs
+        assert np.array_equal(load_pairs_csv(path), pairs)
         text = path.read_text().strip().splitlines()
         assert text[0] == "0,1,2,3,-1"
 
@@ -175,3 +183,116 @@ class TestCsv:
         path.write_text("1,2,3\n")
         with pytest.raises(ValueError):
             load_pairs_csv(path)
+
+    @pytest.mark.parametrize("text, line, message", [
+        ("0,1,2,3,1\n1,2,3\n", 2, "expected 5 integer fields, got '1,2,3'"),
+        ("0,1,2,3,1\n   \n", 2, "expected 5 integer fields, got '   '"),
+        ("1,2,3\n1,2,3\n", 1, "expected 5 integer fields, got '1,2,3'"),
+        ("0,1,2,3,1\n0,1,2,3,2\n", 2, "relation must be -1, 0 or +1, got 2"),
+        ("0,1,2,3,1\n4,5,4,5,0\n", 2, "pair endpoints must differ"),
+        ("0,1,2,3,1\n0,1,x,3,1\n", 2, "expected 5 integer fields, got '0,1,x,3,1'"),
+        ("0,1,2,3,1\n0,1,2.5,3,1\n", 2, "expected 5 integer fields, got '0,1,2.5,3,1'"),
+        ("\n\n0,1,2,3,1\n\n0,1,2,3,-2\n", 5, "relation must be -1, 0 or +1, got -2"),
+    ])
+    def test_bad_row_names_its_line(self, tmp_path, text, line, message):
+        path = tmp_path / "bad.csv"
+        path.write_text(text)
+        with pytest.raises(ValueError, match=re.escape(f"{path}:{line}: {message}")):
+            load_pairs_csv(path)
+
+    @pytest.mark.parametrize("text", [
+        b"\n0,1,2,3,1\n\n\n4,5,6,7,-1\n\n",
+        b"\r\n0,1,2,3,1\r\n\r\n4,5,6,7,-1\r\n",
+        b" 0, 1,2,3,+1\n4,5,6,7,-1",
+    ])
+    def test_blank_lines_skipped(self, tmp_path, text):
+        path = tmp_path / "pairs.csv"
+        path.write_bytes(text)
+        assert np.array_equal(load_pairs_csv(path), [(0, 1, 2, 3, 1), (4, 5, 6, 7, -1)])
+
+    def test_empty_file_is_an_empty_set(self, tmp_path):
+        path = tmp_path / "pairs.csv"
+        save_pairs_csv([], path)
+        assert path.read_bytes() == b""
+        assert np.asarray(load_pairs_csv(path)).shape == (0, 5)
+
+
+class TestPairSet:
+    def test_iteration_yields_python_int_rows(self):
+        pairs = PairSet(np.array([[0, 1, 2, 3, -1], [4, 5, 6, 7, 0]], dtype=np.int32))
+        items = list(pairs)
+        assert items == [OrdinalPair(0, 1, 2, 3, -1), OrdinalPair(4, 5, 6, 7, 0)]
+        assert all(type(v) is int for p in items for v in p)
+        assert np.array_equal(PairSet(items), pairs)
+
+    def test_rows_are_read_only_int64(self):
+        rows = np.asarray(PairSet([(0, 1, 2, 3, 1)]))
+        assert rows.dtype == np.int64 and rows.shape == (1, 5)
+        with pytest.raises(ValueError):
+            rows[0, 0] = 5
+
+    @pytest.mark.parametrize("bad", [[(0, 1, 2, 3)], [0, 1, 2, 3, 1], [[(0, 1, 2, 3, 1)]]])
+    def test_shape_checked(self, bad):
+        with pytest.raises(ValueError, match="shape"):
+            PairSet(bad)
+
+
+# every endpoint position just outside a 3x4 map, negative ones included:
+# a gather would wrap -1 round to the last row or column without a word
+OUTSIDE_3X4 = [
+    (-1, 0, 1, 1, 1), (0, -1, 1, 1, 1), (1, 1, -1, 0, 1), (1, 1, 0, -1, 1),
+    (3, 0, 1, 1, 1), (0, 4, 1, 1, 1), (1, 1, 3, 0, 1), (1, 1, 0, 4, 1),
+]
+
+
+@pytest.mark.parametrize("row", OUTSIDE_3X4)
+class TestCoordinatesOutsideTheMap:
+    def test_ranking_loss_rejects(self, row):
+        with pytest.raises(ValueError, match="outside 3x4 map"):
+            ranking_loss(np.zeros((3, 4)), [(0, 0, 2, 3, 1), row])
+
+    def test_whdr_rejects(self, row):
+        pred = DepthMap(np.ones((3, 4), dtype=np.float32), kind="depth")
+        with pytest.raises(ValueError, match="outside 3x4 map"):
+            whdr(pred, [(0, 0, 2, 3, 1), row])
+
+
+def random_masked_map(rng):
+    h, w = (int(v) for v in rng.integers(3, 40, size=2))
+    # coarse levels make exact ties and threshold-bound relations common
+    values = (rng.integers(0, 24, size=(h, w)) * rng.choice([0.25, 0.37, 1.0]))
+    mask = rng.random((h, w)) < rng.uniform(0.05, 1.0)
+    mask.flat[rng.choice(h * w, size=2, replace=False)] = True
+    return DepthMap(values.astype(np.float32), mask, kind=DISPARITY)
+
+
+@pytest.mark.parametrize("seed", range(24))
+def test_pair_stages_match_the_loops(seed, tmp_path):
+    """Every whole-array pair stage equals its per-pair loop bit for bit."""
+    rng = np.random.default_rng(7000 + seed)
+    disp = random_masked_map(rng)
+    cfg = PairSampleConfig(count=int(rng.integers(1, 400)),
+                           eq_threshold=float(rng.choice([0.0, 0.5, 1.0])), seed=seed)
+    want = loops.sample_pairs(disp, cfg)
+    pairs = sample_pairs(disp, cfg)
+    assert np.array_equal(pairs, want)
+
+    z = rng.normal(size=disp.values.shape) * 3
+    for mean in (False, True):
+        value, grad = loops.ranking_loss(z, want, mean=mean)
+        res = ranking_loss(z, pairs, mean=mean)
+        assert res.value == value
+        assert res.gradient.tobytes() == grad.tobytes()
+
+    pred = DepthMap(disp.values + 0.5, disp.mask, kind="depth")
+    for threshold in (0.0, 0.7):
+        assert whdr(pred, pairs, threshold) == loops.whdr(pred, want, threshold)
+
+    for stride in (2, 8):
+        assert np.array_equal(np.asarray(map_pairs_to_grid(pairs, stride)).reshape(-1, 5),
+                              np.reshape(loops.map_pairs_to_grid(want, stride), (-1, 5)))
+
+    path = tmp_path / "pairs.csv"
+    save_pairs_csv(pairs, path)
+    assert path.read_bytes() == loops.pairs_csv_bytes(want)
+    assert np.array_equal(load_pairs_csv(path), want)
