@@ -19,11 +19,6 @@ class BinningScheme:
     bins: int
     edges: np.ndarray  # (bins + 1,) strictly increasing, uniform in log10
 
-    @property
-    def log_width(self):
-        """log10 width of one bin."""
-        return (np.log10(self.d_max) - np.log10(self.d_min)) / self.bins
-
 
 def make_bins(d_min, d_max, bins) -> BinningScheme:
     """Uniform log10 partition of [d_min, d_max] into `bins` classes."""

@@ -66,7 +66,7 @@ def augment(image: Image, depth: DepthMap, scale_range=(1.0, 1.0), flip_prob=0.5
     lo, hi = scale_range
     if not 0.0 < lo <= hi:
         raise ValueError(f"invalid scale range ({lo}, {hi})")
-    if image.data.shape[:2] != dmap_shape(depth):
+    if image.data.shape[:2] != depth.values.shape:
         raise ValueError("image and depth must be aligned")
     if rng is None:
         rng = np.random.default_rng()
@@ -82,7 +82,3 @@ def augment(image: Image, depth: DepthMap, scale_range=(1.0, 1.0), flip_prob=0.5
         image = flip_image(image)
         depth = flip_depth(depth)
     return image, depth
-
-
-def dmap_shape(dmap: DepthMap):
-    return dmap.values.shape

@@ -85,10 +85,6 @@ class DepthMap:
     def width(self):
         return self.values.shape[1]
 
-    @property
-    def valid_count(self):
-        return int(self.mask.sum())
-
 
 def disparity_to_depth(dmap: DepthMap, focal_baseline: float) -> DepthMap:
     """Convert a disparity map to metric depth via depth = fb / disparity.

@@ -45,10 +45,6 @@ class MetricsReport:
     def to_json(self):
         return json.dumps(self.to_dict(), sort_keys=True)
 
-    def csv_row(self):
-        d = self.to_dict()
-        return ",".join(str(d[k]) for k in sorted(d))
-
 
 def evaluate(pred: DepthMap, gt: DepthMap, extra_mask=None) -> MetricsReport:
     """Score a predicted depth map against ground truth.

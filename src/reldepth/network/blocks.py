@@ -6,14 +6,13 @@ is the identity and y = F(x) + x; otherwise a strided 1x1 projection maps x
 onto the branch's dimensions.
 """
 
-import numpy as np
-
 from .layers import ChannelNorm, Conv2d, ReLU
 
 
 class ResidualBlock:
-    def __init__(self, in_channels, out_channels, stride=1, rng=None):
-        rng = rng if rng is not None else np.random.default_rng()
+    BRANCH = ("norm1", "relu1", "conv1", "norm2", "relu2", "conv2")
+
+    def __init__(self, in_channels, out_channels, stride, rng):
         self.norm1 = ChannelNorm(in_channels)
         self.relu1 = ReLU()
         self.conv1 = Conv2d(in_channels, out_channels, 3, stride=stride, rng=rng)
@@ -26,35 +25,24 @@ class ResidualBlock:
             self.projection = Conv2d(in_channels, out_channels, 1, stride=stride,
                                      pad=0, rng=rng)
 
-    def params(self):
-        named = []
-        for prefix, layer in self._named_layers():
-            named.extend((f"{prefix}.{n}", t) for n, t in layer.params())
+    def named_layers(self):
+        """(name, layer) for the branch in order, then the projection if any."""
+        named = [(name, getattr(self, name)) for name in self.BRANCH]
+        if self.projection is not None:
+            named.append(("projection", self.projection))
         return named
 
-    def _named_layers(self):
-        layers = [("norm1", self.norm1), ("conv1", self.conv1),
-                  ("norm2", self.norm2), ("conv2", self.conv2)]
-        if self.projection is not None:
-            layers.append(("projection", self.projection))
-        return layers
-
-    def norms(self):
-        return [("norm1", self.norm1), ("norm2", self.norm2)]
-
     def forward(self, x):
-        f = self.conv1.forward(self.relu1.forward(self.norm1.forward(x)))
-        f = self.conv2.forward(self.relu2.forward(self.norm2.forward(f)))
+        f = x
+        for name in self.BRANCH:
+            f = getattr(self, name).forward(f)
         shortcut = x if self.projection is None else self.projection.forward(x)
         return f + shortcut
 
     def backward(self, dout):
-        df = self.conv2.backward(dout)
-        df = self.norm2.backward(self.relu2.backward(df))
-        df = self.conv1.backward(df)
-        dx = self.norm1.backward(self.relu1.backward(df))
+        dx = dout
+        for name in reversed(self.BRANCH):
+            dx = getattr(self, name).backward(dx)
         if self.projection is None:
-            dx = dx + dout
-        else:
-            dx = dx + self.projection.backward(dout)
-        return dx
+            return dx + dout
+        return dx + self.projection.backward(dout)

@@ -42,7 +42,7 @@ class Conv2d:
     straddle the padding or the next image and are discarded.
     """
 
-    def __init__(self, in_channels, out_channels, ksize, stride=1, pad=None, rng=None):
+    def __init__(self, in_channels, out_channels, ksize, stride=1, pad=None, *, rng):
         if pad is None:
             pad = ksize // 2
         self.in_channels = in_channels
@@ -50,7 +50,6 @@ class Conv2d:
         self.ksize = ksize
         self.stride = stride
         self.pad = pad
-        rng = rng if rng is not None else np.random.default_rng()
         fan_in = in_channels * ksize * ksize
         self.weight = Tensor(he_normal(rng, (out_channels, in_channels, ksize, ksize), fan_in))
         self.bias = Tensor(np.zeros(out_channels))

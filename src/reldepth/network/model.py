@@ -4,9 +4,18 @@ Topology: a 3x3 stem convolution, one 2x2 max pool, three residual stages
 (strides 1/2/2, so the output grid is 1/8 of the input), two 1x1
 pre-activation convolutions, and a linear 1x1 head whose channel count is 1
 for the ranking and regression heads or the bin count for classification.
+
+DepthNet holds this topology once, as the ordered list ``layers`` of
+(name, layer) pairs: ``stem``, ``pool``, ``stage<s>.block<b>``, then
+``head<h>.norm``/``.relu``/``.conv`` for each hidden head layer, and
+``final.norm``, ``final.relu``, ``head``. Forward runs the list front to
+back and backward back to front. Parameter and norm names join the list's
+names with each residual block's own layer names
+(``stage1.block0.conv1.weight``), and the head swap replaces the last three
+entries.
 """
 
-from dataclasses import asdict, dataclass, replace
+from dataclasses import dataclass, replace
 
 import numpy as np
 
@@ -55,68 +64,57 @@ class NetConfig:
             s *= st
         return s
 
-    def to_dict(self):
-        return asdict(self)
 
-    @classmethod
-    def from_dict(cls, d):
-        return cls(**d)
+def _head_layers(in_channels, head_channels, rng):
+    """The last three entries of DepthNet.layers: the norm feeding the head,
+    its ReLU and the linear 1x1 head itself."""
+    return [("final.norm", ChannelNorm(in_channels)), ("final.relu", ReLU()),
+            ("head", Conv2d(in_channels, head_channels, 1, pad=0, rng=rng))]
 
 
 class DepthNet:
     def __init__(self, config: NetConfig):
         self.config = config
         rng = np.random.default_rng(config.seed)
-        w0 = config.stage_widths[0]
-        self.stem = Conv2d(config.in_channels, w0, 3, stride=1, rng=rng)
-        self.pool = MaxPool2()
-        self.stages = []
-        prev = w0
-        for width, blocks, stride in zip(config.stage_widths, config.stage_blocks,
-                                         config.stage_strides):
-            stage = []
+        prev = config.stage_widths[0]
+        layers = [("stem", Conv2d(config.in_channels, prev, 3, stride=1, rng=rng)),
+                  ("pool", MaxPool2())]
+        for si, (width, blocks, stride) in enumerate(zip(
+                config.stage_widths, config.stage_blocks, config.stage_strides)):
             for b in range(blocks):
-                stage.append(ResidualBlock(prev, width, stride if b == 0 else 1, rng))
+                layers.append((f"stage{si}.block{b}",
+                               ResidualBlock(prev, width, stride if b == 0 else 1, rng)))
                 prev = width
-            self.stages.append(stage)
-        self.head_hidden = []
-        for width in config.head_widths:
-            self.head_hidden.append(
-                (ChannelNorm(prev), ReLU(), Conv2d(prev, width, 1, pad=0, rng=rng))
-            )
+        for hi, width in enumerate(config.head_widths):
+            layers += [(f"head{hi}.norm", ChannelNorm(prev)), (f"head{hi}.relu", ReLU()),
+                       (f"head{hi}.conv", Conv2d(prev, width, 1, pad=0, rng=rng))]
             prev = width
-        self.final_norm = ChannelNorm(prev)
-        self.final_relu = ReLU()
-        self.head = Conv2d(prev, config.head_channels, 1, pad=0, rng=rng)
-        self._head_in_channels = prev
+        self.layers = layers + _head_layers(prev, config.head_channels, rng)
+
+    @property
+    def head(self):
+        return self.layers[-1][1]
+
+    @property
+    def final_norm(self):
+        return self.layers[-3][1]
 
     # ---- parameter plumbing -------------------------------------------------
 
+    def _leaves(self):
+        """(name, layer) for every layer, residual blocks opened up."""
+        for name, layer in self.layers:
+            if isinstance(layer, ResidualBlock):
+                yield from ((f"{name}.{n}", leaf) for n, leaf in layer.named_layers())
+            else:
+                yield name, layer
+
     def named_params(self):
-        named = [("stem.weight", self.stem.weight), ("stem.bias", self.stem.bias)]
-        for si, stage in enumerate(self.stages):
-            for bi, block in enumerate(stage):
-                named.extend(
-                    (f"stage{si}.block{bi}.{n}", t) for n, t in block.params()
-                )
-        for hi, (norm, _, conv) in enumerate(self.head_hidden):
-            named.extend((f"head{hi}.norm.{n}", t) for n, t in norm.params())
-            named.extend((f"head{hi}.conv.{n}", t) for n, t in conv.params())
-        named.extend((f"final.norm.{n}", t) for n, t in self.final_norm.params())
-        named.extend((f"head.{n}", t) for n, t in self.head.params())
-        return named
+        return [(f"{name}.{n}", t) for name, layer in self._leaves() for n, t in layer.params()]
 
     def named_norms(self):
-        named = []
-        for si, stage in enumerate(self.stages):
-            for bi, block in enumerate(stage):
-                named.extend(
-                    (f"stage{si}.block{bi}.{n}", norm) for n, norm in block.norms()
-                )
-        for hi, (norm, _, _) in enumerate(self.head_hidden):
-            named.append((f"head{hi}.norm", norm))
-        named.append(("final.norm", self.final_norm))
-        return named
+        return [(name, layer) for name, layer in self._leaves()
+                if isinstance(layer, ChannelNorm)]
 
     def zero_grad(self):
         for _, t in self.named_params():
@@ -134,24 +132,14 @@ class DepthNet:
             raise ValueError(
                 f"input {x.shape[2]}x{x.shape[3]} not divisible by total stride {stride}"
             )
-        out = self.pool.forward(self.stem.forward(x))
-        for stage in self.stages:
-            for block in stage:
-                out = block.forward(out)
-        for norm, relu, conv in self.head_hidden:
-            out = conv.forward(relu.forward(norm.forward(out)))
-        out = self.final_relu.forward(self.final_norm.forward(out))
-        return self.head.forward(out)
+        for _, layer in self.layers:
+            x = layer.forward(x)
+        return x
 
     def backward(self, dout):
-        d = self.head.backward(dout)
-        d = self.final_norm.backward(self.final_relu.backward(d))
-        for norm, relu, conv in reversed(self.head_hidden):
-            d = norm.backward(relu.backward(conv.backward(d)))
-        for stage in reversed(self.stages):
-            for block in reversed(stage):
-                d = block.backward(d)
-        return self.stem.backward(self.pool.backward(d))
+        for _, layer in reversed(self.layers):
+            dout = layer.backward(dout)
+        return dout
 
     # ---- head surgery -------------------------------------------------------
 
@@ -168,33 +156,8 @@ class DepthNet:
             seed = self.config.seed + 1
         self.config = replace(self.config, head_mode=head_mode,
                               head_channels=head_channels)
-        rng = np.random.default_rng(seed)
-        self.head = Conv2d(self._head_in_channels, head_channels, 1, pad=0, rng=rng)
-        self.final_norm = ChannelNorm(self._head_in_channels)
-
-    # ---- serialization ------------------------------------------------------
-
-    def state_arrays(self):
-        arrays = {name: t.values for name, t in self.named_params()}
-        for name, norm in self.named_norms():
-            arrays[f"{name}.mu"] = norm.mu
-            arrays[f"{name}.sigma"] = norm.sigma
-        return arrays
-
-    def calibrated_flags(self):
-        return {name: norm.calibrated for name, norm in self.named_norms()}
-
-    def load_state(self, arrays, calibrated):
-        for name, t in self.named_params():
-            src = arrays[name]
-            if src.shape != t.values.shape:
-                raise ValueError(f"shape mismatch for {name}: {src.shape} vs {t.values.shape}")
-            t.values = src.astype(np.float64).copy()
-            t.zero_grad()
-        for name, norm in self.named_norms():
-            norm.mu = arrays[f"{name}.mu"].astype(np.float64).copy()
-            norm.sigma = arrays[f"{name}.sigma"].astype(np.float64).copy()
-            norm.calibrated = bool(calibrated[name])
+        self.layers[-3:] = _head_layers(self.head.in_channels, head_channels,
+                                        np.random.default_rng(seed))
 
 
 def stack_images(images):

@@ -1,5 +1,6 @@
 import hashlib
 import json
+import struct
 from pathlib import Path
 
 import numpy as np
@@ -334,6 +335,39 @@ class TestTrainEvalCommands:
                     str(pair_dir), "--ckpt", str(ckpt), "--out", str(out)]) == 2
         assert "no scenes to score" in capsys.readouterr().err
         assert not (out / "whdr.json").exists()
+
+    @pytest.mark.parametrize("case, message", [
+        ("missing-flag", "calibration flags do not match"),
+        ("missing-array", "arrays do not match"),
+        ("unknown-field", "bad config"),
+        ("not-an-object", "not a JSON object"),
+    ])
+    def test_malformed_checkpoint_is_runtime_failure(self, pipeline, capsys, case, message):
+        from reldepth.cli import load_config
+        from reldepth.network import DepthNet, save_checkpoint
+
+        cfg, d = pipeline
+        assert run(["synth", "--config", cfg, "--out", d["synth"]]) == 0
+        ckpt = Path(d["synth"]) / "bad.ckpt"
+        save_checkpoint(DepthNet(load_config(cfg).net), ckpt)
+        raw = ckpt.read_bytes()
+        (size,) = struct.unpack("<I", raw[8:12])
+        manifest = json.loads(raw[12:12 + size])
+        if case == "missing-flag":
+            del manifest["calibrated"]["final.norm"]
+        elif case == "missing-array":
+            del manifest["arrays"][0]
+        elif case == "unknown-field":
+            manifest["config"]["depth"] = 3
+        else:
+            manifest = [manifest]
+        blob = json.dumps(manifest).encode()
+        ckpt.write_bytes(raw[:8] + struct.pack("<I", len(blob)) + blob + raw[12 + size:])
+        capsys.readouterr()
+        assert run(["eval", "--config", cfg, "--data", d["synth"], "--ckpt", str(ckpt),
+                    "--out", d["eval"]]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("error: ") and message in err
 
     def test_pair_outside_its_image_fails_pretrain(self, pipeline, capsys):
         cfg, d = pipeline

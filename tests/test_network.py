@@ -1,4 +1,6 @@
+import hashlib
 import json
+import struct
 
 import numpy as np
 import pytest
@@ -10,6 +12,7 @@ from reldepth.losses import infogain_loss, ranking_loss
 from reldepth.network import (
     AugmentConfig,
     ChannelNorm,
+    CheckpointError,
     Conv2d,
     DepthNet,
     MaxPool2,
@@ -37,6 +40,25 @@ def tiny_net(head_mode="ranking", head_channels=1, seed=7):
                     stage_strides=(1, 2, 2), head_widths=(6,),
                     head_mode=head_mode, head_channels=head_channels, seed=seed)
     return DepthNet(cfg)
+
+
+def _manifest_span(raw):
+    (size,) = struct.unpack("<I", raw[8:12])
+    return 12, 12 + size
+
+
+def read_manifest(path):
+    raw = path.read_bytes()
+    start, end = _manifest_span(raw)
+    return json.loads(raw[start:end])
+
+
+def write_manifest(path, manifest):
+    """Swap a checkpoint's manifest, keeping its payload bytes."""
+    raw = path.read_bytes()
+    start, end = _manifest_span(raw)
+    blob = json.dumps(manifest).encode()
+    path.write_bytes(raw[:8] + struct.pack("<I", len(blob)) + blob + raw[end:])
 
 
 class TestLayers:
@@ -697,11 +719,58 @@ class TestCheckpoint:
         save_checkpoint(net, tmp_path / "b.ckpt", iteration=1)
         assert (tmp_path / "a.ckpt").read_bytes() == (tmp_path / "b.ckpt").read_bytes()
 
+    def test_layout_is_pinned(self, tmp_path):
+        # names, init draws and byte order of a default net's checkpoint; a
+        # renamed array or a reordered draw changes this digest
+        path = tmp_path / "default.ckpt"
+        save_checkpoint(DepthNet(NetConfig(seed=0)), path)
+        assert hashlib.sha256(path.read_bytes()).hexdigest() == (
+            "c3a7694fd88ae6ffee0550ebc160df1aab7c34589f8f1a4ac4f822cad81d285d")
+
     def test_bad_magic_rejected(self, tmp_path):
         p = tmp_path / "junk.ckpt"
         p.write_bytes(b"NOTright" + bytes(32))
         with pytest.raises(ValueError):
             load_checkpoint(p)
+
+    @pytest.mark.parametrize("edit, message", [
+        pytest.param(lambda m: m["arrays"].pop(3), "arrays do not match", id="missing-array"),
+        pytest.param(lambda m: m["arrays"][0].update(name="stem.kernel"), "unexpected",
+                     id="foreign-array"),
+        pytest.param(lambda m: m["arrays"][0].update(shape=[1]), "shapes or count",
+                     id="wrong-shape"),
+        pytest.param(lambda m: m["calibrated"].pop("final.norm"), "calibration flags",
+                     id="missing-flag"),
+        pytest.param(lambda m: m["config"].update(depth=3), "bad config", id="unknown-field"),
+        pytest.param(lambda m: m.pop("iteration"), "malformed manifest", id="no-iteration"),
+    ])
+    def test_malformed_manifest_rejected(self, tmp_path, edit, message):
+        path = tmp_path / "m.ckpt"
+        save_checkpoint(tiny_net(seed=103), path)
+        manifest = read_manifest(path)
+        edit(manifest)
+        write_manifest(path, manifest)
+        with pytest.raises(CheckpointError, match=message):
+            load_checkpoint(path)
+
+    def test_manifest_must_be_an_object(self, tmp_path):
+        path = tmp_path / "m.ckpt"
+        save_checkpoint(tiny_net(seed=104), path)
+        write_manifest(path, [read_manifest(path)])
+        with pytest.raises(CheckpointError, match="not a JSON object"):
+            load_checkpoint(path)
+
+    @pytest.mark.parametrize("cut, message", [
+        pytest.param(-8, "truncated payload", id="short"),
+        pytest.param(None, "trailing bytes", id="long"),
+    ])
+    def test_payload_must_fill_the_file_exactly(self, tmp_path, cut, message):
+        path = tmp_path / "m.ckpt"
+        save_checkpoint(tiny_net(seed=105), path)
+        raw = path.read_bytes()
+        path.write_bytes(raw[:cut] if cut else raw + bytes(8))
+        with pytest.raises(CheckpointError, match=message):
+            load_checkpoint(path)
 
     def test_re_head_preserves_trunk(self):
         # the head block is the final conv plus the normalization feeding it;
