@@ -49,6 +49,9 @@ EXIT_RUNTIME = 2
 
 # named direction sets the sgm section's "directions" key may give
 DIRECTION_SETS = {"all": stereo.DIRECTIONS_8, "horizontal": stereo.HORIZONTAL_PAIR}
+# the net fields a --resume checkpoint must share with train.net; the head's
+# mode and channel count are left out because finetune swaps the head
+RESUME_FIELDS = ("in_channels", "stage_widths", "stage_blocks", "stage_strides", "head_widths")
 
 
 class ConfigError(ValueError):
@@ -396,9 +399,13 @@ def _train_stage(cfg: PipelineConfig, stage, out_dir, resume, continues, trainer
     "finetune") on a fresh net or the resume checkpoint's, then save
     model.ckpt. When continues(net) holds for a checkpoint, training picks up
     at its iteration and <stage>_log.jsonl is appended to, not restarted."""
+    net, iteration = (DepthNet(cfg.net), 0) if resume is None else load_checkpoint(resume)
+    for field in RESUME_FIELDS:
+        have, want = getattr(net.config, field), getattr(cfg.net, field)
+        if have != want:
+            raise ValueError(f"resume checkpoint has {field} {have}, config has {want}")
     out = Path(out_dir)
     out.mkdir(parents=True, exist_ok=True)
-    net, iteration = (DepthNet(cfg.net), 0) if resume is None else load_checkpoint(resume)
     start_iteration = iteration if continues(net) else 0
     schedule = getattr(cfg, stage)
     with open(out / f"{stage}_log.jsonl", "w" if start_iteration == 0 else "a") as fh:

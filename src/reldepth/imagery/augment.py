@@ -56,7 +56,7 @@ def flip_depth(dmap: DepthMap) -> DepthMap:
 
 
 def augment(image: Image, depth: DepthMap, scale_range=(1.0, 1.0), flip_prob=0.5,
-            rng=None):
+            *, rng):
     """Randomly scale and mirror an (image, depth) pair.
 
     A draw s from scale_range resizes both rasters by s and divides metric
@@ -68,8 +68,6 @@ def augment(image: Image, depth: DepthMap, scale_range=(1.0, 1.0), flip_prob=0.5
         raise ValueError(f"invalid scale range ({lo}, {hi})")
     if image.data.shape[:2] != depth.values.shape:
         raise ValueError("image and depth must be aligned")
-    if rng is None:
-        rng = np.random.default_rng()
     s = lo if lo == hi else float(rng.uniform(lo, hi))
     if s != 1.0:
         new_h = max(1, int(round(image.height * s)))

@@ -1,11 +1,15 @@
 """Network building blocks with explicit forward/backward passes.
 
-Everything runs in float64. Every layer takes and returns (N, C, H, W)
-arrays; inside, Conv2d works on one zero-padded NHWC copy of its input and
-hands back an (N, C, H, W) view of its NHWC result. Layers cache whatever
-their backward pass needs; backward consumes the upstream gradient, adds
-parameter gradients into each Tensor's grad slot, and returns the input
-gradient.
+Everything runs in float64. Every layer takes and returns arrays of shape
+(N, C, H, W), and that shape is the contract callers read. The memory under
+it is channel-major, (C, N, H, W): Conv2d writes its output, and its input
+gradient, into (C, N, H, W) buffers and hands back their (N, C, H, W)
+transposed views, and the other layers only index, slice and combine their
+inputs element by element, so their results keep the memory order they were
+given. Each layer also accepts any other memory order and gives the same
+values. Layers cache whatever their backward pass needs; backward consumes
+the upstream gradient, adds parameter gradients into each Tensor's grad
+slot, and returns the input gradient.
 """
 
 import numpy as np
@@ -31,15 +35,22 @@ def he_normal(rng, shape, fan_in):
 
 
 class Conv2d:
-    """k x k convolution as k*k GEMMs on a zero-padded NHWC copy of the input.
+    """k x k convolution as one GEMM per image over a channel-major patch matrix.
 
-    The padded input is split into its stride x stride phases (one phase at
-    stride 1), each flattened to (N * hq * wq, C) rows. Tap (i, j) of the
-    kernel then reads phase (i % s, j % s) at the row offset
-    (i // s) * wq + j // s, a contiguous slice, so every tap is one copy-free
-    GEMM. Outputs are computed on the whole (hq, wq) phase grid, and the
-    valid (out_h, out_w) window is cut out afterwards; the rows outside it
-    straddle the padding or the next image and are discarded.
+    The input is copied once into a zero-padded channel-major
+    (C, N, hq, wq) buffer per stride phase: phase (a, b) holds the padded
+    rows a, a + s, ... and columns b, b + s, ... (one phase at stride 1; a
+    1x1 kernel at stride 2 reads only phase (0, 0), which at pad 0 is
+    x[:, :, ::2, ::2]). Flattened per image, tap (i, j) of the kernel
+    reads phase (i % s, j % s) at the column offset (i // s) * wq + j // s,
+    a slice whose C rows are each contiguous. Forward stacks the k*k slices
+    of one image into a (k*k*C, pixels) patch matrix, built afresh for each
+    image and never cached so that memory holds one image's patches at a
+    time, and runs W(Cout, k*k*C) @ patches. Outputs are
+    computed on the phase grid, and the valid (out_h, out_w) window is cut
+    out afterwards. Backward runs one dW GEMM and one dX GEMM per tap
+    against the cached phase buffer over the whole batch; grid columns that
+    straddle the padding or the next image carry a zero gradient.
     """
 
     def __init__(self, in_channels, out_channels, ksize, stride=1, pad=None, *, rng):
@@ -58,21 +69,23 @@ class Conv2d:
     def params(self):
         return [("weight", self.weight), ("bias", self.bias)]
 
-    def _taps(self, n, hq, wq):
-        """The number of output grid rows every tap adds to, and each tap's
-        (i, j, phase, input rows): phases[phase][rows] lines up with them."""
+    def _taps(self, wq):
+        """(tap, phase, column offset) for each tap, tap = i * k + j."""
         k, s = self.ksize, self.stride
-        count = n * hq * wq - ((k - 1) // s) * (wq + 1)
-        taps = []
-        for i in range(k):
-            for j in range(k):
-                off = (i // s) * wq + j // s
-                taps.append((i, j, (i % s, j % s), slice(off, off + count)))
-        return count, taps
+        return [(i * k + j, (i % s, j % s), (i // s) * wq + j // s)
+                for i in range(k) for j in range(k)]
 
-    def _tap_weights(self):
-        """The kernel as k*k contiguous (Cin, Cout) matrices."""
-        return np.ascontiguousarray(self.weight.values.transpose(2, 3, 1, 0))
+    def _phase_windows(self, h, w):
+        """For each phase, the (phase rows/cols, input rows/cols) slices that
+        line up: padded row a + s * r holds input row a + s * r - p."""
+        s, p, m = self.stride, self.pad, min(self.ksize, self.stride)
+
+        def axis(a, size):
+            first = max(0, -(-(p - a) // s))
+            rows = range(a + s * first - p, size, s)
+            return slice(first, first + len(rows)), slice(rows.start, size, s)
+
+        return [((a, b), axis(a, h), axis(b, w)) for a in range(m) for b in range(m)]
 
     def forward(self, x):
         n, c, h, w = x.shape
@@ -82,40 +95,54 @@ class Conv2d:
         out_h = (h + 2 * p - k) // s + 1
         out_w = (w + 2 * p - k) // s + 1
         hq, wq = -(-(h + 2 * p) // s), -(-(w + 2 * p) // s)
-        padded = np.zeros((n, hq * s, wq * s, c))
-        padded[:, p:p + h, p:p + w] = x.transpose(0, 2, 3, 1)
-        m = min(k, s)  # a 1x1 kernel at stride 2 reads only phase (0, 0)
-        phases = np.ascontiguousarray(
-            padded.reshape(n, hq, s, wq, s, c)[:, :, :m, :, :m].transpose(2, 4, 0, 1, 3, 5)
-        ).reshape(m, m, n * hq * wq, c)
-        weights = self._tap_weights()
-        grid = np.zeros((n * hq * wq, self.out_channels))
-        count, taps = self._taps(n, hq, wq)
-        for i, j, phase, rows in taps:
-            grid[:count] += phases[phase][rows] @ weights[i, j]
-        self._cache = (phases, x.shape, hq, wq, out_h, out_w)
-        out = grid.reshape(n, hq, wq, -1)[:, :out_h, :out_w]
-        out += self.bias.values
-        return out.transpose(0, 3, 1, 2)
+        m = min(k, s)
+        phases = np.zeros((m, m, c, n, hq, wq))
+        xc = x.transpose(1, 0, 2, 3)
+        for phase, (pr, xr), (pc, xcol) in self._phase_windows(h, w):
+            phases[phase][:, :, pr, pc] = xc[:, :, xr, xcol]
+        images = phases.reshape(m, m, c, n, hq * wq)
+        weights = self.weight.values.transpose(0, 2, 3, 1).reshape(self.out_channels, k * k * c)
+        span = (out_h - 1) * wq + out_w
+        patches = np.empty((k * k, c, span))
+        grid = np.empty((self.out_channels, out_h * wq))
+        out = np.empty((self.out_channels, n, out_h, out_w))
+        taps = self._taps(wq)
+        bias = self.bias.values[:, None, None]
+        for b in range(n):
+            for tap, phase, off in taps:
+                patches[tap] = images[phase][:, b, off:off + span]
+            np.matmul(weights, patches.reshape(k * k * c, span), out=grid[:, :span])
+            np.add(grid.reshape(-1, out_h, wq)[:, :, :out_w], bias, out=out[:, b])
+        self._cache = (phases, x.shape, out_h, out_w)
+        return out.transpose(1, 0, 2, 3)
 
     def backward(self, dout):
-        phases, (n, c, h, w), hq, wq, out_h, out_w = self._cache
-        s, p = self.stride, self.pad
-        dgrid = np.zeros((n, hq, wq, self.out_channels))
-        dgrid[:, :out_h, :out_w] = dout.transpose(0, 2, 3, 1)
-        count, taps = self._taps(n, hq, wq)
-        dgrid = dgrid.reshape(n * hq * wq, -1)[:count]
-        weights = self._tap_weights()
+        phases, (n, c, h, w), out_h, out_w = self._cache
+        k = self.ksize
+        m, _, _, _, hq, wq = phases.shape
+        dgrid = np.zeros((self.out_channels, n, hq, wq))
+        dgrid[:, :, :out_h, :out_w] = dout.transpose(1, 0, 2, 3)
+        self.bias.grad += dgrid.reshape(self.out_channels, -1).sum(axis=1)
+        count = n * hq * wq - ((k - 1) // self.stride) * (wq + 1)
+        dgrid = dgrid.reshape(self.out_channels, -1)[:, :count]
+        flat = phases.reshape(m, m, c, -1)
+        weights = self.weight.values.transpose(2, 3, 0, 1).reshape(k * k, self.out_channels, c)
         dweights = np.empty_like(weights)
-        dphases = np.zeros((s, s) + phases.shape[2:])
-        for i, j, phase, rows in taps:
-            dweights[i, j] = phases[phase][rows].T @ dgrid
-            dphases[phase][rows] += dgrid @ weights[i, j].T
-        self.weight.grad += dweights.transpose(3, 2, 0, 1)
-        self.bias.grad += dout.sum(axis=(0, 2, 3))
-        dpadded = dphases.reshape(s, s, n, hq, wq, c).transpose(2, 3, 0, 4, 1, 5)
-        dpadded = dpadded.reshape(n, hq * s, wq * s, c)
-        return dpadded[:, p:p + h, p:p + w].transpose(0, 3, 1, 2)
+        dflat = np.zeros_like(flat)
+        dcols = np.empty((c, count))
+        for tap, phase, off in self._taps(wq):
+            np.matmul(dgrid, flat[phase][:, off:off + count].T, out=dweights[tap])
+            np.matmul(weights[tap].T, dgrid, out=dcols)
+            dflat[phase][:, off:off + count] += dcols
+        self.weight.grad += dweights.reshape(k, k, self.out_channels, c).transpose(2, 3, 0, 1)
+        dphases = dflat.reshape(phases.shape)
+        # the stem's backward sets the net's peak memory, so the gradient
+        # grid goes before the input gradient is allocated
+        del dgrid, dcols
+        dx = np.zeros((c, n, h, w))
+        for phase, (pr, xr), (pc, xcol) in self._phase_windows(h, w):
+            dx[:, :, xr, xcol] = dphases[phase][:, :, pr, pc]
+        return dx.transpose(1, 0, 2, 3)
 
 
 class ReLU:
@@ -134,7 +161,15 @@ class ReLU:
 
 
 class MaxPool2:
-    """2x2 max pooling with stride 2; ties route gradient to the first max."""
+    """2x2 max pooling with stride 2 over the window slots x[:, :, i::2, j::2].
+
+    Slots are visited in (0, 0), (0, 1), (1, 0), (1, 1) order and a later
+    slot replaces the running max only when strictly greater, so ties route
+    the gradient to the first max. Backward scatters dout into those slots
+    of a zeroed array in dout's memory order.
+    """
+
+    SLOTS = ((0, 0), (0, 1), (1, 0), (1, 1))
 
     def __init__(self):
         self._cache = None
@@ -143,22 +178,25 @@ class MaxPool2:
         return []
 
     def forward(self, x):
-        n, c, h, w = x.shape
+        h, w = x.shape[2:]
         if h % 2 or w % 2:
             raise ValueError(f"pooling needs even spatial dims, got {h}x{w}")
-        windows = x.reshape(n, c, h // 2, 2, w // 2, 2)
-        windows = windows.transpose(0, 1, 2, 4, 3, 5).reshape(n, c, h // 2, w // 2, 4)
-        arg = windows.argmax(axis=-1)
+        slots = [x[:, :, i::2, j::2] for i, j in self.SLOTS]
+        arg = (slots[1] > slots[0]).astype(np.int8)
+        out = np.maximum(slots[0], slots[1])
+        for k in (2, 3):
+            np.putmask(arg, slots[k] > out, k)
+            np.maximum(out, slots[k], out=out)
         self._cache = (x.shape, arg)
-        return np.take_along_axis(windows, arg[..., None], axis=-1)[..., 0]
+        return out
 
     def backward(self, dout):
         x_shape, arg = self._cache
-        n, c, h, w = x_shape
-        dwin = np.zeros((n, c, h // 2, w // 2, 4), dtype=dout.dtype)
-        np.put_along_axis(dwin, arg[..., None], dout[..., None], axis=-1)
-        dwin = dwin.reshape(n, c, h // 2, w // 2, 2, 2).transpose(0, 1, 2, 4, 3, 5)
-        return dwin.reshape(x_shape)
+        # dout's memory order is the one forward gave its output, x's own
+        dx = np.zeros_like(dout, shape=x_shape)
+        for k, (i, j) in enumerate(self.SLOTS):
+            np.copyto(dx[:, :, i::2, j::2], dout, where=arg == k)
+        return dx
 
 
 class ChannelNorm:
@@ -168,7 +206,9 @@ class ChannelNorm:
     afterwards the layer is a plain affine map, so train and eval behave
     identically and gradients are exact. The scale is floored so a channel
     that happens to be near-constant in the calibration batch cannot turn
-    the layer into a huge amplifier for later batches.
+    the layer into a huge amplifier for later batches. Forward applies one
+    per-channel scale gamma / sigma and shift beta - mu * gamma / sigma;
+    backward recomputes the centered input from the cached x.
     """
 
     MIN_SIGMA = 0.05
@@ -195,12 +235,16 @@ class ChannelNorm:
             raise ValueError(f"norm expects {self.channels} channels, got {x.shape[1]}")
         if not self.calibrated:
             self.calibrate(x)
-        xhat = (x - self.mu[None, :, None, None]) / self.sigma[None, :, None, None]
-        self._cache = xhat
-        return self.gamma.values[None, :, None, None] * xhat + self.beta.values[None, :, None, None]
+        scale = self.gamma.values / self.sigma
+        shift = self.beta.values - self.mu * scale
+        self._cache = x
+        out = x * scale[:, None, None]
+        out += shift[:, None, None]
+        return out
 
     def backward(self, dout):
-        xhat = self._cache
-        self.gamma.grad += (dout * xhat).sum(axis=(0, 2, 3))
+        centered = self._cache - self.mu[:, None, None]
+        centered *= dout
+        self.gamma.grad += centered.sum(axis=(0, 2, 3)) / self.sigma
         self.beta.grad += dout.sum(axis=(0, 2, 3))
-        return dout * (self.gamma.values / self.sigma)[None, :, None, None]
+        return dout * (self.gamma.values / self.sigma)[:, None, None]

@@ -13,6 +13,11 @@ back and backward back to front. Parameter and norm names join the list's
 names with each residual block's own layer names
 (``stage1.block0.conv1.weight``), and the head swap replaces the last three
 entries.
+
+Every layer takes and returns (N, C, H, W)-shaped arrays whose memory is
+channel-major, (C, N, H, W) (see layers.py): forward accepts a batch in any
+memory order, and its output and backward's input gradient are (N, C, H, W)
+views of channel-major buffers.
 """
 
 from dataclasses import dataclass, replace

@@ -114,7 +114,7 @@ def map_pairs_to_grid(pairs, stride):
 
 def _augmented(image, depth, aug: AugmentConfig, rng):
     h, w = image.height, image.width
-    img, dm = augment(image, depth, aug.scale_range, aug.flip_prob, rng)
+    img, dm = augment(image, depth, aug.scale_range, aug.flip_prob, rng=rng)
     if img.height != h or img.width != w:
         top = int(rng.integers(0, img.height - h + 1))
         left = int(rng.integers(0, img.width - w + 1))

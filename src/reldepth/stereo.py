@@ -159,11 +159,12 @@ def ad_cost(left: Image, right: Image, d_max, border_cost=None) -> CostVolume:
     h, w = left.height, left.width
     ldata = left.data.astype(np.float64)
     rdata = right.data.astype(np.float64)
-    costs = np.full((h, w, d_max), border_cost, dtype=np.float64)
+    # filled disparity-major, so each disparity's plane is one contiguous block
+    costs = np.full((d_max, h, w), border_cost, dtype=np.float64)
     for d in range(min(d_max, w)):
         diff = np.abs(ldata[:, d:] - rdata[:, :w - d])
-        costs[:, d:, d] = diff.sum(axis=2)
-    return CostVolume(costs)
+        costs[d, :, d:] = diff.sum(axis=2)
+    return CostVolume(np.ascontiguousarray(costs.transpose(1, 2, 0)))
 
 
 def _relax(prev, p1, p2):

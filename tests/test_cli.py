@@ -398,6 +398,31 @@ class TestTrainEvalCommands:
         assert "scene 0: no pairs left to score" in capsys.readouterr().err
         assert not (Path(d["whdr"]) / "whdr.json").exists()
 
+    @pytest.mark.parametrize("command, field, value", [
+        ("pretrain", "head_widths", (7,)),
+        ("finetune", "stage_widths", (3, 4, 6)),
+    ])
+    def test_resume_with_a_different_net_fails(self, pipeline, capsys, command, field, value):
+        from dataclasses import replace
+
+        from reldepth.cli import load_config
+        from reldepth.network import DepthNet, save_checkpoint
+
+        cfg, d = pipeline
+        assert run(["synth", "--config", cfg, "--out", d["synth"]]) == 0
+        assert run(["pairs", "--config", cfg, "--in", d["synth"], "--out", d["pairs"]]) == 0
+        ckpt = Path(d["synth"]) / "other.ckpt"
+        save_checkpoint(DepthNet(replace(load_config(cfg).net, **{field: value})), ckpt)
+        capsys.readouterr()
+        inputs = ["--pairs", d["pairs"]] if command == "pretrain" else []
+        out = Path(d["pre"])
+        assert run([command, "--config", cfg, "--data", d["synth"], *inputs,
+                    "--out", str(out), "--resume", str(ckpt)]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("error: ")
+        assert f"resume checkpoint has {field} {value}, config has" in err
+        assert not (out / "model.ckpt").exists()
+
     def test_training_commands_deterministic(self, pipeline):
         cfg, d = pipeline
         self._through_pairs(cfg, d)

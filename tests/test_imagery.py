@@ -263,6 +263,11 @@ class TestAugment:
                          rng=np.random.default_rng(0))
         assert np.all(out.values == 6.0)
 
+    def test_generator_is_required(self):
+        img, depth = self._pair()
+        with pytest.raises(TypeError, match="rng"):
+            augment(img, depth, scale_range=(0.5, 1.5), flip_prob=0.5)
+
     def test_invalid_scale_range(self):
         img, depth = self._pair()
         with pytest.raises(ValueError):

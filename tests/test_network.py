@@ -61,6 +61,34 @@ def write_manifest(path, manifest):
     path.write_bytes(raw[:8] + struct.pack("<I", len(blob)) + blob + raw[end:])
 
 
+# (ksize, stride, pad) of every convolution DepthNet builds
+CONV_SHAPES = [(3, 1, 1), (3, 2, 1), (1, 1, 0), (1, 2, 0)]
+
+
+def _with_cin(shapes):
+    """Each (ksize, stride, pad) with 3 and with 16 input channels; the
+    3-channel cases keep their plain "k-s-p" ids."""
+    return ([pytest.param(*shape, 3, id="-".join(map(str, shape))) for shape in shapes]
+            + [pytest.param(*shape, 16, id="-".join(map(str, shape)) + "-cin16")
+               for shape in shapes])
+
+
+def _layouts(a):
+    """The values of the (N, C, H, W) array a as C-contiguous NCHW, as an
+    NCHW view of NHWC memory and as an NCHW view of CNHW memory."""
+    return {
+        "nchw": np.ascontiguousarray(a),
+        "nhwc": np.ascontiguousarray(a.transpose(0, 2, 3, 1)).transpose(0, 3, 1, 2),
+        "cnhw": np.ascontiguousarray(a.transpose(1, 0, 2, 3)).transpose(1, 0, 2, 3),
+    }
+
+
+def _close(a, b, rel):
+    if rel == 0:
+        return a.shape == b.shape and np.array_equal(a, b)
+    return a.shape == b.shape and np.abs(a - b).max() <= rel * np.abs(b).max()
+
+
 class TestLayers:
     def test_conv_delta_kernel_is_identity(self):
         conv = Conv2d(2, 2, 3, rng=np.random.default_rng(0))
@@ -99,12 +127,12 @@ class TestLayers:
         )
         assert gradients_close(conv.weight.grad, num_w)
 
-    @pytest.mark.parametrize("ksize,stride,pad", [(3, 1, 1), (1, 2, 0)])
-    def test_conv_other_strides_match_finite_differences(self, ksize, stride, pad):
+    @pytest.mark.parametrize("ksize,stride,pad,cin", _with_cin([(3, 1, 1), (1, 2, 0), (3, 2, 1)]))
+    def test_conv_other_strides_match_finite_differences(self, ksize, stride, pad, cin):
         rng = np.random.default_rng(4)
-        conv = Conv2d(3, 2, ksize, stride=stride, pad=pad, rng=rng)
+        conv = Conv2d(cin, 2, ksize, stride=stride, pad=pad, rng=rng)
         conv.bias.values[...] = rng.random(2)
-        x = rng.random((2, 3, 5, 6))
+        x = rng.random((2, cin, 5, 6))
         dout_seed = rng.random(conv.forward(x).shape)
         conv.weight.zero_grad()
         conv.bias.zero_grad()
@@ -119,12 +147,12 @@ class TestLayers:
         assert gradients_close(conv.weight.grad, num_w)
         assert np.allclose(conv.bias.grad, dout_seed.sum(axis=(0, 2, 3)), rtol=1e-12)
 
-    @pytest.mark.parametrize("ksize,stride,pad", [(3, 1, 1), (3, 2, 1), (1, 1, 0), (1, 2, 0)])
-    def test_conv_forward_matches_nested_sum(self, ksize, stride, pad):
+    @pytest.mark.parametrize("ksize,stride,pad,cin", _with_cin(CONV_SHAPES))
+    def test_conv_forward_matches_nested_sum(self, ksize, stride, pad, cin):
         rng = np.random.default_rng(6)
-        conv = Conv2d(3, 4, ksize, stride=stride, pad=pad, rng=rng)
+        conv = Conv2d(cin, 4, ksize, stride=stride, pad=pad, rng=rng)
         conv.bias.values[...] = rng.standard_normal(4)
-        x = rng.standard_normal((2, 3, 7, 10))
+        x = rng.standard_normal((2, cin, 7, 10))
         ref = _conv_reference(x, conv.weight.values, conv.bias.values, stride, pad)
         out = conv.forward(x)
         assert out.shape == ref.shape
@@ -146,6 +174,23 @@ class TestLayers:
         assert dx.sum() == 4
         assert dx[0, 0, 1, 1] == 1.0
 
+    def test_maxpool_ties_go_to_the_first_slot(self):
+        # four windows whose first max sits in slot (0, 0), (0, 1), (1, 0)
+        # and (1, 1); in the first three it ties with every later slot
+        x = np.array([[1, 1, 0, 2, 0, 1, 0, 1],
+                      [1, 1, 1, 2, 3, 3, 2, 5]], dtype=np.float64)[None, None]
+        firsts = [(0, 0), (0, 3), (1, 4), (1, 7)]
+        dout = np.array([[[[10.0, 20.0, 30.0, 40.0]]]])
+        for name, arr in _layouts(x).items():
+            pool = MaxPool2()
+            out = pool.forward(arr)
+            assert np.array_equal(out, [[[[1, 2, 3, 5]]]]), name
+            dx = pool.backward(dout)
+            expected = np.zeros_like(x)
+            for (y, x_), g in zip(firsts, dout.ravel()):
+                expected[0, 0, y, x_] = g
+            assert np.array_equal(dx, expected), name
+
     def test_maxpool_needs_even_dims(self):
         with pytest.raises(ValueError):
             MaxPool2().forward(np.zeros((1, 1, 3, 4)))
@@ -162,6 +207,53 @@ class TestLayers:
         y = rng.random((2, 3, 5, 5)) * 10
         expected = (y - norm.mu[None, :, None, None]) / norm.sigma[None, :, None, None]
         assert np.allclose(norm.forward(y), expected)
+
+
+class TestLayoutInvariance:
+    """Each layer gives the same outputs and gradients whether its input and
+    upstream gradient are C-contiguous NCHW or NCHW views of NHWC or CNHW
+    memory."""
+
+    def _check(self, make, x, rel):
+        dout = np.random.default_rng(11).standard_normal(make().forward(x).shape)
+        results = {}
+        for name, arr in _layouts(x).items():
+            layer = make()
+            out = layer.forward(arr)
+            dx = layer.backward(_layouts(dout)[name])
+            results[name] = [out, dx] + [t.grad for _, t in layer.params()]
+        for name in ("nhwc", "cnhw"):
+            for got, want in zip(results[name], results["nchw"]):
+                assert _close(got, want, rel), name
+
+    @pytest.mark.parametrize("ksize,stride,pad,cin", _with_cin(CONV_SHAPES))
+    def test_conv(self, ksize, stride, pad, cin):
+        def make():
+            conv = Conv2d(cin, 5, ksize, stride=stride, pad=pad, rng=np.random.default_rng(1))
+            conv.bias.values[...] = np.arange(5) * 0.1
+            return conv
+
+        x = np.random.default_rng(2).standard_normal((2, cin, 6, 10))
+        # the 1x1 stride-2 projection only copies and runs the same GEMMs
+        self._check(make, x, 0 if (ksize, stride) == (1, 2) else 1e-12)
+
+    def test_channel_norm(self):
+        x = np.random.default_rng(3).standard_normal((3, 4, 6, 8)) * 3 + 1
+
+        def make():
+            norm = ChannelNorm(4)
+            norm.gamma.values[...] = [0.5, 1.0, 1.5, 2.0]
+            norm.beta.values[...] = [-1.0, 0.0, 1.0, 2.0]
+            return norm
+
+        self._check(make, x, 1e-12)
+
+    def test_relu(self):
+        self._check(ReLU, np.random.default_rng(4).standard_normal((2, 3, 4, 6)), 0)
+
+    def test_maxpool(self):
+        x = np.random.default_rng(5).integers(0, 4, (2, 3, 4, 6)).astype(np.float64)
+        self._check(MaxPool2, x, 0)
 
 
 def _conv_reference(x, weight, bias, stride, pad):
@@ -588,6 +680,31 @@ def test_trainers_call_the_benchmark_hook_names(name, monkeypatch):
     kwargs = {} if name == "ranking" else {"augment_cfg": AugmentConfig()}
     assert len(train(net, TrainSchedule(batch_size=1, total_iterations=1), **kwargs)) == 1
     assert called == HOOKED[name]
+
+
+def test_convs_see_the_benchmark_shapes():
+    """bench/replay.py:_conv_cost reads (n, cin, h, w) and (n, cout, oh, ow)
+    from the shapes each Conv2d's forward and backward take and return, so
+    every conv of the desk net must pass 4-D arrays with channels on axis 1,
+    whatever memory lies under them."""
+    net = DepthNet(NetConfig(stage_widths=(16, 32, 64), head_widths=(64, 32), seed=1))
+    seen = []
+    for name, leaf in net._leaves():
+        if isinstance(leaf, Conv2d):
+            for method in ("forward", "backward"):
+                def recorded(arr, _inner=getattr(leaf, method), _key=(name, leaf, method)):
+                    out = _inner(arr)
+                    seen.append((_key, arr.shape, out.shape))
+                    return out
+                setattr(leaf, method, recorded)
+    x = np.random.default_rng(0).random((2, 3, 16, 16))
+    net.backward(np.ones_like(net.forward(x)))
+    assert len(seen) == 2 * sum(isinstance(leaf, Conv2d) for _, leaf in net._leaves())
+    for (name, conv, method), arg, out in seen:
+        x_shape, y_shape = (arg, out) if method == "forward" else (out, arg)
+        assert len(x_shape) == len(y_shape) == 4, name
+        assert (x_shape[0], x_shape[1]) == (2, conv.in_channels), name
+        assert (y_shape[0], y_shape[1]) == (2, conv.out_channels), name
 
 
 def test_pair_sets_meet_the_benchmark_contract(tmp_path):

@@ -112,6 +112,19 @@ class TestAdCost:
         with pytest.raises(ValueError, match="mismatch"):
             ad_cost(a, b, d_max=1)
 
+    @pytest.mark.parametrize("d_max", [1, 16, 23])
+    def test_matches_pixel_major_loop_bitwise(self, d_max):
+        rng = np.random.default_rng(d_max)
+        left = Image(rng.random((9, 20, 3)).astype(np.float32))
+        right = Image(rng.random((9, 20, 3)).astype(np.float32))
+        ldata, rdata = left.data.astype(np.float64), right.data.astype(np.float64)
+        ref = np.full((9, 20, d_max), 3.0)
+        for d in range(min(d_max, 20)):
+            ref[:, d:, d] = np.abs(ldata[:, d:] - rdata[:, :20 - d]).sum(axis=2)
+        costs = ad_cost(left, right, d_max=d_max).costs
+        assert costs.flags.c_contiguous
+        assert costs.tobytes() == ref.tobytes()
+
 
 class TestAggregate:
     def test_forward_sweep_hand_unrolled(self):
