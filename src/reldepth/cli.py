@@ -125,8 +125,12 @@ def _reject_unknown(keys, name, known=()):
 def _build(name, base, sec, fixed=()):
     """The dataclass instance base with the section's keys replacing its
     fields. Each key must name a field other than the fixed ones, which the
-    code sets; a bad key or value is a config error of the named section."""
+    code sets, and a field whose value in base is an int takes only a JSON
+    integer; a bad key or value is a config error of the named section."""
     _reject_unknown(sec, name, {f.name for f in fields(base)} - set(fixed))
+    for key, value in sec.items():
+        if type(getattr(base, key)) is int and type(value) is not int:
+            raise ConfigError(f"{name}: {key} must be an integer, got {value!r}")
     try:
         return replace(base, **sec)
     except (TypeError, ValueError) as exc:
@@ -155,13 +159,18 @@ def _clip_norm(sec, name):
     return float(value)
 
 
+def _non_finite(constant):
+    raise ConfigError(f"config holds the non-finite number {constant}")
+
+
 def load_config(path, seed_override=None) -> PipelineConfig:
     """Parse and fully validate a pipeline config before any work happens.
 
     A section backed by a parameter dataclass takes that dataclass's field
-    names as its keys and its defaults; an unknown key is a config error."""
+    names as its keys and its defaults; an unknown key, or a NaN or infinite
+    number anywhere, is a config error."""
     try:
-        raw = json.loads(Path(path).read_text())
+        raw = json.loads(Path(path).read_text(), parse_constant=_non_finite)
     except OSError as exc:
         raise ConfigError(f"cannot read config: {exc}") from None
     except json.JSONDecodeError as exc:
@@ -185,7 +194,10 @@ def load_config(path, seed_override=None) -> PipelineConfig:
     median_radius = _non_negative_int(sgm_sec.pop("median_radius", 1), "sgm: median_radius")
     directions = sgm_sec.get("directions")
     if isinstance(directions, str):
-        sgm_sec["directions"] = DIRECTION_SETS.get(directions, directions)
+        if directions not in DIRECTION_SETS:
+            raise ConfigError(f"sgm: directions must be a list of [dy, dx] steps or one of"
+                              f" {', '.join(DIRECTION_SETS)}, got {directions!r}")
+        sgm_sec["directions"] = DIRECTION_SETS[directions]
     sgm_sec.setdefault("d_max", synth.d_max)
     sgm_params = _build("sgm", stereo.SgmParams.defaults(), sgm_sec, fixed=("border_cost",))
     if sgm_params.d_max < synth.d_max:
@@ -516,6 +528,38 @@ def cmd_whdr(cfg: PipelineConfig, data_dir, pairs_dir, ckpt, out_dir):
 
 # ---- argument parsing ----------------------------------------------------------
 
+# name -> (function, help, {flag: (parameter, required, help)}); the flags fill
+# the function's parameters after cfg, which --config and --seed make
+COMMANDS = {
+    "synth": (cmd_synth, "generate layered random-dot stereo scenes", {
+        "--out": ("out_dir", True, "output dataset directory")}),
+    "stereo": (cmd_stereo, "run the SGM front end over a synth dataset", {
+        "--in": ("in_dir", True, "synth dataset directory"),
+        "--out": ("out_dir", True, "disparity output directory")}),
+    "pairs": (cmd_pairs, "sample ordinal pairs from disparity maps", {
+        "--in": ("in_dir", True, "disparity directory"),
+        "--out": ("out_dir", True, "pair CSV output directory")}),
+    "pretrain": (cmd_pretrain, "train the ranking model on ordinal pairs", {
+        "--data": ("data_dir", True, "synth dataset directory"),
+        "--pairs": ("pairs_dir", True, "pair CSV directory"),
+        "--out": ("out_dir", True, "checkpoint/log output directory"),
+        "--resume": ("resume", False, "ranking checkpoint to continue from")}),
+    "finetune": (cmd_finetune, "train the depth classifier on metric ground truth", {
+        "--data": ("data_dir", True, "synth dataset directory"),
+        "--out": ("out_dir", True, "checkpoint/log output directory"),
+        "--resume": ("resume", False, "checkpoint to continue from")}),
+    "eval": (cmd_eval, "score depth predictions against ground truth", {
+        "--data": ("data_dir", True, "synth dataset directory"),
+        "--out": ("out_dir", True, "metrics output directory"),
+        "--ckpt": ("ckpt", False, "checkpoint to predict with"),
+        "--pred": ("pred_dir", False, "directory of predicted depth PFMs")}),
+    "whdr": (cmd_whdr, "score a ranking checkpoint on ordinal pairs", {
+        "--data": ("data_dir", True, "synth dataset directory"),
+        "--pairs": ("pairs_dir", True, "pair CSV directory"),
+        "--ckpt": ("ckpt", True, "ranking checkpoint"),
+        "--out": ("out_dir", True, "whdr output directory")}),
+}
+
 
 def build_parser():
     parser = argparse.ArgumentParser(
@@ -523,42 +567,12 @@ def build_parser():
         description="stereo-supervised ordinal pretraining and depth classification",
     )
     sub = parser.add_subparsers(dest="command", required=True)
-
-    def add(name, help_text, **flags):
+    for name, (_, help_text, flags) in COMMANDS.items():
         p = sub.add_parser(name, help=help_text)
         p.add_argument("--config", required=True, help="pipeline JSON config")
         p.add_argument("--seed", type=int, default=None, help="override config seed")
-        for flag, (required, help_str) in flags.items():
-            p.add_argument(flag, required=required, help=help_str)
-        return p
-
-    add("synth", "generate layered random-dot stereo scenes",
-        **{"--out": (True, "output dataset directory")})
-    add("stereo", "run the SGM front end over a synth dataset",
-        **{"--in": (True, "synth dataset directory"),
-           "--out": (True, "disparity output directory")})
-    add("pairs", "sample ordinal pairs from disparity maps",
-        **{"--in": (True, "disparity directory"),
-           "--out": (True, "pair CSV output directory")})
-    add("pretrain", "train the ranking model on ordinal pairs",
-        **{"--data": (True, "synth dataset directory"),
-           "--pairs": (True, "pair CSV directory"),
-           "--out": (True, "checkpoint/log output directory"),
-           "--resume": (False, "ranking checkpoint to continue from")})
-    add("finetune", "train the depth classifier on metric ground truth",
-        **{"--data": (True, "synth dataset directory"),
-           "--out": (True, "checkpoint/log output directory"),
-           "--resume": (False, "checkpoint to continue from")})
-    add("eval", "score depth predictions against ground truth",
-        **{"--data": (True, "synth dataset directory"),
-           "--out": (True, "metrics output directory"),
-           "--ckpt": (False, "checkpoint to predict with"),
-           "--pred": (False, "directory of predicted depth PFMs")})
-    add("whdr", "score a ranking checkpoint on ordinal pairs",
-        **{"--data": (True, "synth dataset directory"),
-           "--pairs": (True, "pair CSV directory"),
-           "--ckpt": (True, "ranking checkpoint"),
-           "--out": (True, "whdr output directory")})
+        for flag, (parameter, required, help_str) in flags.items():
+            p.add_argument(flag, dest=parameter, required=required, help=help_str)
     return parser
 
 
@@ -569,22 +583,9 @@ def main(argv=None):
     except ConfigError as exc:
         print(f"config error: {exc}", file=sys.stderr)
         return EXIT_CONFIG
+    function, _, flags = COMMANDS[args.command]
     try:
-        if args.command == "synth":
-            return cmd_synth(cfg, args.out)
-        if args.command == "stereo":
-            return cmd_stereo(cfg, getattr(args, "in"), args.out)
-        if args.command == "pairs":
-            return cmd_pairs(cfg, getattr(args, "in"), args.out)
-        if args.command == "pretrain":
-            return cmd_pretrain(cfg, args.data, args.pairs, args.out, resume=args.resume)
-        if args.command == "finetune":
-            return cmd_finetune(cfg, args.data, args.out, resume=args.resume)
-        if args.command == "eval":
-            return cmd_eval(cfg, args.data, args.out, ckpt=args.ckpt, pred_dir=args.pred)
-        if args.command == "whdr":
-            return cmd_whdr(cfg, args.data, args.pairs, args.ckpt, args.out)
-        raise AssertionError(f"unhandled command {args.command}")
+        return function(cfg, **{p: getattr(args, p) for p, _, _ in flags.values()})
     except (OSError, ValueError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_RUNTIME

@@ -7,6 +7,8 @@ mark invalid pixels with a -inf sentinel in the payload and recover them
 into the validity mask on load.
 """
 
+import math
+
 import numpy as np
 
 from .types import DEPTH, DepthMap, Image
@@ -50,12 +52,37 @@ def _read_token(buf, pos):
     return buf[start:pos], pos
 
 
-def _parse_int(token, name):
+def _parse(convert, token, what):
     try:
-        value = int(token)
+        return convert(token)
     except ValueError:
-        raise MalformedHeaderError(f"non-integer {name}: {token!r}") from None
-    return value
+        raise MalformedHeaderError(f"{what}: {token!r}") from None
+
+
+def _header(buf):
+    """(width, height, third token, payload offset) of a netpbm or PFM file:
+    after the magic come the positive width and height, one more token
+    (maxval or scale) and a single whitespace byte before the payload."""
+    tokens, pos = [], 2
+    for _ in range(3):
+        token, pos = _read_token(buf, pos)
+        tokens.append(token)
+    width = _parse(int, tokens[0], "non-integer width")
+    height = _parse(int, tokens[1], "non-integer height")
+    if width < 1 or height < 1:
+        raise MalformedHeaderError("dimensions must be positive")
+    return width, height, tokens[2], pos + 1
+
+
+def _payload(buf, pos, count, dtype):
+    """The count values of dtype stored from buf[pos] on, as float32."""
+    size = count * dtype.itemsize
+    payload = buf[pos:pos + size]
+    if len(payload) != size:
+        raise MalformedPayloadError(
+            f"malformed payload: expected {size} bytes, got {len(payload)}"
+        )
+    return np.frombuffer(payload, dtype=dtype).astype(np.float32)
 
 
 def load_image(path) -> Image:
@@ -72,8 +99,7 @@ def load_image(path) -> Image:
     if magic in (b"P5", b"P6"):
         return _decode_netpbm(buf, channels=1 if magic == b"P5" else 3)
     if magic in (b"Pf", b"PF"):
-        values, scale = _decode_pfm(buf)
-        arr = values * abs(scale)
+        arr = _decode_pfm(buf)
         if arr.min() < 0.0 or arr.max() > 1.0 or not np.all(np.isfinite(arr)):
             raise MalformedPayloadError("PFM image values outside [0, 1]")
         return Image(arr)
@@ -81,27 +107,12 @@ def load_image(path) -> Image:
 
 
 def _decode_netpbm(buf, channels):
-    pos = 2
-    width_tok, pos = _read_token(buf, pos)
-    height_tok, pos = _read_token(buf, pos)
-    maxval_tok, pos = _read_token(buf, pos)
-    width = _parse_int(width_tok, "width")
-    height = _parse_int(height_tok, "height")
-    maxval = _parse_int(maxval_tok, "maxval")
-    if width < 1 or height < 1:
-        raise MalformedHeaderError("dimensions must be positive")
+    width, height, maxval_tok, pos = _header(buf)
+    maxval = _parse(int, maxval_tok, "non-integer maxval")
     if not 0 < maxval < 65536:
         raise MalformedHeaderError(f"maxval {maxval} out of range")
-    pos += 1  # single whitespace byte after maxval
     dtype = np.dtype(">u2") if maxval > 255 else np.dtype("u1")
-    count = width * height * channels
-    payload = buf[pos:pos + count * dtype.itemsize]
-    if len(payload) != count * dtype.itemsize:
-        raise MalformedPayloadError(
-            f"malformed payload: expected {count * dtype.itemsize} bytes,"
-            f" got {len(payload)}"
-        )
-    raw = np.frombuffer(payload, dtype=dtype).astype(np.float32)
+    raw = _payload(buf, pos, width * height * channels, dtype)
     arr = (raw / maxval).reshape(height, width, channels)
     return Image(arr)
 
@@ -120,37 +131,15 @@ def save_image(image: Image, path, maxval=255):
 
 
 def _decode_pfm(buf):
-    magic = buf[:2]
-    channels = 3 if magic == b"PF" else 1
-    pos = 2
-    width_tok, pos = _read_token(buf, pos)
-    height_tok, pos = _read_token(buf, pos)
-    scale_tok, pos = _read_token(buf, pos)
-    width = _parse_int(width_tok, "width")
-    height = _parse_int(height_tok, "height")
-    try:
-        scale = float(scale_tok)
-    except ValueError:
-        raise MalformedHeaderError(f"non-numeric scale: {scale_tok!r}") from None
-    if width < 1 or height < 1:
-        raise MalformedHeaderError("dimensions must be positive")
+    width, height, scale_tok, pos = _header(buf)
+    scale = _parse(float, scale_tok, "non-numeric scale")
     if scale == 0.0:
         raise MalformedHeaderError("scale must be non-zero")
-    pos += 1
-    count = width * height * channels
-    payload = buf[pos:pos + count * 4]
-    if len(payload) != count * 4:
-        raise MalformedPayloadError(
-            f"malformed payload: expected {count * 4} bytes, got {len(payload)}"
-        )
+    shape = (height, width, 3) if buf[:2] == b"PF" else (height, width)
     dtype = np.dtype("<f4") if scale < 0 else np.dtype(">f4")
-    raw = np.frombuffer(payload, dtype=dtype).astype(np.float32)
-    if channels == 1:
-        values = raw.reshape(height, width)
-        values = values[::-1]  # rows stored bottom-to-top
-    else:
-        values = raw.reshape(height, width, 3)[::-1]
-    return np.ascontiguousarray(values), scale
+    raw = _payload(buf, pos, math.prod(shape), dtype)
+    # rows stored bottom-to-top; the product is a new C-ordered array
+    return raw.reshape(shape)[::-1] * np.float32(abs(scale))
 
 
 def save_pfm(dmap: DepthMap, path):
@@ -174,8 +163,7 @@ def load_pfm(path, kind=DEPTH) -> DepthMap:
         raise UnsupportedFormatError("depth maps must be single-channel PFM")
     if buf[:2] != b"Pf":
         raise UnsupportedFormatError(f"unsupported magic {buf[:2]!r}")
-    values, scale = _decode_pfm(buf)
-    values = values * np.float32(abs(scale))
+    values = _decode_pfm(buf)
     mask = np.isfinite(values)
     values[~mask] = 0.0
     return DepthMap(values, mask, kind=kind)

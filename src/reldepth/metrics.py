@@ -4,7 +4,7 @@ and the three delta threshold accuracies.
 """
 
 import json
-from dataclasses import dataclass
+from dataclasses import asdict, dataclass
 
 import numpy as np
 
@@ -31,16 +31,7 @@ class MetricsReport:
             raise ValueError("delta accuracies must be non-decreasing")
 
     def to_dict(self):
-        return {
-            "rms": self.rms,
-            "rel": self.rel,
-            "log10": self.log10,
-            "rmslog": self.rmslog,
-            "delta1": self.delta1,
-            "delta2": self.delta2,
-            "delta3": self.delta3,
-            "pixel_count": self.pixel_count,
-        }
+        return asdict(self)
 
     def to_json(self):
         return json.dumps(self.to_dict(), sort_keys=True)

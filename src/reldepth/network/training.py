@@ -65,6 +65,8 @@ class AugmentConfig:
         # scaled samples are cropped back to the original grid for batching
         if not 1.0 <= lo <= hi:
             raise ValueError("trainer scale range must satisfy 1 <= lo <= hi")
+        if not 0.0 <= self.flip_prob <= 1.0:
+            raise ValueError(f"flip probability must lie in [0, 1], got {self.flip_prob}")
 
 
 def l2_regression_loss(pred, target, mask) -> LossResult:
@@ -127,12 +129,14 @@ def _augmented(image, depth, aug: AugmentConfig, rng):
 def _sgd_loop(net: DepthNet, dataset, schedule: TrainSchedule, seed, sample_loss,
               augment_cfg=None, log_fn=None, start_iteration=0, clip_norm=None):
     """SGD on sample_loss(output, target) over a list of (Image, target);
-    see the module docstring. Returns the history of {iter, loss, lr}."""
+    see the module docstring. Returns the history of {iter, loss, lr}.
+    Each iteration draws from its own generator, seeded by (seed, iteration),
+    so a run resumed at start_iteration repeats an uninterrupted run."""
     if not dataset:
         raise ValueError("dataset is empty")
-    rng = np.random.default_rng(seed)
     history = []
     for iteration in range(start_iteration, schedule.total_iterations):
+        rng = np.random.default_rng(np.random.SeedSequence([seed, iteration]))
         lr = schedule.lr_at(iteration)
         idx = rng.integers(0, len(dataset), size=schedule.batch_size)
         batch = [dataset[i] for i in idx]

@@ -17,7 +17,8 @@ horizontal pair solves the row-restricted energy exactly; multi-orientation
 sums remain the usual approximation.
 """
 
-from dataclasses import dataclass
+import itertools
+from dataclasses import asdict, dataclass
 
 import numpy as np
 
@@ -44,14 +45,6 @@ class CostVolume:
         if arr.min() < 0.0:
             raise ValueError("cost volume entries must be non-negative")
         self.costs = arr
-
-    @property
-    def height(self):
-        return self.costs.shape[0]
-
-    @property
-    def width(self):
-        return self.costs.shape[1]
 
     @property
     def d_max(self):
@@ -110,14 +103,22 @@ def bilsub(image: Image, spatial_sigma=2.0, range_sigma=0.1, radius=3) -> Image:
     unit-range image. Removes smooth local intensity offsets while keeping
     high-contrast texture edges.
     """
-    if spatial_sigma <= 0 or range_sigma <= 0:
-        raise ValueError("sigmas must be positive")
-    if radius < 1:
-        raise ValueError("radius must be >= 1")
+    BilSubParams(spatial_sigma, range_sigma, radius)
     data = image.data.astype(np.float64)
     background = _bilateral(data, spatial_sigma, range_sigma, radius)
     out = np.clip(0.5 + (data - background), 0.0, 1.0)
     return Image(out.astype(np.float32))
+
+
+def _overlap(h, w, dy, dx):
+    """Index pair (here, there) of the parts of an h x w grid where p and
+    p - (dy, dx) both lie inside it, or None when the shift leaves no overlap."""
+    ys0, ys1 = max(0, dy), min(h, h + dy)
+    xs0, xs1 = max(0, dx), min(w, w + dx)
+    if ys0 >= ys1 or xs0 >= xs1:
+        return None
+    return ((slice(ys0, ys1), slice(xs0, xs1)),
+            (slice(ys0 - dy, ys1 - dy), slice(xs0 - dx, xs1 - dx)))
 
 
 def _bilateral(data, spatial_sigma, range_sigma, radius):
@@ -126,18 +127,16 @@ def _bilateral(data, spatial_sigma, range_sigma, radius):
     norm = np.zeros_like(data)
     inv2_ss = 1.0 / (2.0 * spatial_sigma ** 2)
     inv2_sr = 1.0 / (2.0 * range_sigma ** 2)
-    for dy in range(-radius, radius + 1):
-        for dx in range(-radius, radius + 1):
-            sw = np.exp(-(dy * dy + dx * dx) * inv2_ss)
-            ys0, ys1 = max(0, dy), min(h, h + dy)
-            xs0, xs1 = max(0, dx), min(w, w + dx)
-            if ys0 >= ys1 or xs0 >= xs1:
-                continue
-            center = data[ys0:ys1, xs0:xs1]
-            shifted = data[ys0 - dy:ys1 - dy, xs0 - dx:xs1 - dx]
-            wgt = sw * np.exp(-((shifted - center) ** 2) * inv2_sr)
-            acc[ys0:ys1, xs0:xs1] += wgt * shifted
-            norm[ys0:ys1, xs0:xs1] += wgt
+    for dy, dx in itertools.product(range(-radius, radius + 1), repeat=2):
+        sw = np.exp(-(dy * dy + dx * dx) * inv2_ss)
+        overlap = _overlap(h, w, dy, dx)
+        if overlap is None:
+            continue
+        here, there = overlap
+        shifted = data[there]
+        wgt = sw * np.exp(-((shifted - data[here]) ** 2) * inv2_sr)
+        acc[here] += wgt * shifted
+        norm[here] += wgt
     return acc / norm
 
 
@@ -262,13 +261,11 @@ def energy(dmap: DepthMap, cv: CostVolume, params: SgmParams) -> float:
     iy, ix = np.mgrid[0:h, 0:w]
     total = float(cv.costs[iy, ix, labels].sum())
     for dy, dx in DIRECTIONS_8:
-        ys0, ys1 = max(0, dy), min(h, h + dy)
-        xs0, xs1 = max(0, dx), min(w, w + dx)
-        if ys0 >= ys1 or xs0 >= xs1:
+        overlap = _overlap(h, w, dy, dx)
+        if overlap is None:
             continue
-        a = labels[ys0:ys1, xs0:xs1]
-        b = labels[ys0 - dy:ys1 - dy, xs0 - dx:xs1 - dx]
-        diff = np.abs(a - b)
+        here, there = overlap
+        diff = np.abs(labels[here] - labels[there])
         total += params.p1 * float((diff == 1).sum())
         total += params.p2 * float((diff > 1).sum())
     return total
@@ -287,19 +284,14 @@ def median_filter(dmap: DepthMap, radius=1) -> DepthMap:
     size = 2 * radius + 1
     area = size * size
     stack = np.full((area, h, w), np.nan, dtype=np.float64)
-    i = 0
-    for dy in range(-radius, radius + 1):
-        for dx in range(-radius, radius + 1):
-            ys0, ys1 = max(0, dy), min(h, h + dy)
-            xs0, xs1 = max(0, dx), min(w, w + dx)
-            if ys0 >= ys1 or xs0 >= xs1:
-                i += 1
-                continue
-            src_vals = dmap.values[ys0 - dy:ys1 - dy, xs0 - dx:xs1 - dx]
-            src_mask = dmap.mask[ys0 - dy:ys1 - dy, xs0 - dx:xs1 - dx]
-            tile = stack[i, ys0:ys1, xs0:xs1]
-            tile[src_mask] = src_vals[src_mask]
-            i += 1
+    offsets = range(-radius, radius + 1)
+    for i, (dy, dx) in enumerate(itertools.product(offsets, repeat=2)):
+        overlap = _overlap(h, w, dy, dx)
+        if overlap is None:
+            continue
+        here, there = overlap
+        src_mask = dmap.mask[there]
+        stack[i][here][src_mask] = dmap.values[there][src_mask]
     counts = (~np.isnan(stack)).sum(axis=0)
     out_mask = dmap.mask | (counts * 2 >= area)
     out_vals = np.zeros((h, w), dtype=np.float64)
@@ -314,10 +306,7 @@ def match_pair(left: Image, right: Image, params: SgmParams,
                bilsub_params: BilSubParams = None, median_radius=0) -> DepthMap:
     """Full stereo front end: optional BilSub, AD cost, SGM, WTA, median."""
     if bilsub_params is not None:
-        left = bilsub(left, bilsub_params.spatial_sigma,
-                      bilsub_params.range_sigma, bilsub_params.radius)
-        right = bilsub(right, bilsub_params.spatial_sigma,
-                       bilsub_params.range_sigma, bilsub_params.radius)
+        left, right = (bilsub(image, **asdict(bilsub_params)) for image in (left, right))
     cv = ad_cost(left, right, params.d_max, border_cost=params.border_cost)
     aggregated = sgm_aggregate(cv, params)
     disp = winner_takes_all(aggregated)

@@ -1,4 +1,5 @@
 import hashlib
+import inspect
 import json
 import struct
 from pathlib import Path
@@ -6,7 +7,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from reldepth.cli import main
+from reldepth.cli import COMMANDS, main
 from reldepth.imagery import DISPARITY, load_pfm
 
 BASE_CONFIG = {
@@ -73,8 +74,23 @@ def run(args):
 def assert_config_rejected(config_path, tmp_path, capsys):
     out = tmp_path / "never"
     assert run(["synth", "--config", str(config_path), "--out", str(out)]) == 1
-    assert "config error:" in capsys.readouterr().err
+    err = capsys.readouterr().err
+    assert "config error:" in err
     assert not out.exists()
+    return err
+
+
+@pytest.mark.parametrize("name", list(COMMANDS))
+def test_commands_table_matches_functions_and_help(name, capsys):
+    function, _, flags = COMMANDS[name]
+    parameters = list(inspect.signature(function).parameters)
+    assert parameters == ["cfg", *(parameter for parameter, _, _ in flags.values())]
+    with pytest.raises(SystemExit) as exc:
+        main([name, "--help"])
+    assert exc.value.code == 0
+    usage = capsys.readouterr().out
+    for flag in ("--config", "--seed", *flags):
+        assert f" {flag} " in usage, flag
 
 
 class TestSynth:
@@ -215,6 +231,25 @@ class TestConfigValidation:
                            ("eval.pred_threshold", True),
                            ("eval.pred_threshold", -0.1)):
             assert_config_rejected(write_config(tmp_path, **{key: value}), tmp_path, capsys)
+
+    @pytest.mark.parametrize("key, value, message", [
+        # json reads NaN and Infinity; NaN would turn clipping off unnoticed
+        ("train.pretrain.clip_norm", float("nan"), "non-finite number NaN"),
+        ("bins.focal_baseline", float("nan"), "non-finite number NaN"),
+        ("sgm.p2", float("inf"), "non-finite number Infinity"),
+        ("pairs.eq_threshold", -float("inf"), "non-finite number -Infinity"),
+        # a field with an int default takes a JSON integer, not a fraction or bool
+        ("synth.count", 2.5, "synth: count must be an integer, got 2.5"),
+        ("pairs.count", 10.5, "pairs: count must be an integer, got 10.5"),
+        ("train.pretrain.batch_size", 2.5, "train.pretrain: batch_size must be an integer"),
+        ("sgm.bilsub.radius", True, "sgm.bilsub: radius must be an integer, got True"),
+        ("train.finetune.augment.flip_prob", 5.0, "flip probability must lie in [0, 1]"),
+        ("train.finetune.augment.flip_prob", -1.0, "flip probability must lie in [0, 1]"),
+        ("sgm.directions", "diag", "one of all, horizontal, got 'diag'"),
+    ])
+    def test_bad_value_rejected_by_name(self, tmp_path, capsys, key, value, message):
+        err = assert_config_rejected(write_config(tmp_path, **{key: value}), tmp_path, capsys)
+        assert message in err
 
     def test_missing_section_rejected(self, tmp_path, capsys):
         raw = json.loads(json.dumps(BASE_CONFIG))
@@ -422,6 +457,26 @@ class TestTrainEvalCommands:
         assert err.startswith("error: ")
         assert f"resume checkpoint has {field} {value}, config has" in err
         assert not (out / "model.ckpt").exists()
+
+    @pytest.mark.parametrize("command", ["pretrain", "finetune"])
+    def test_resumed_training_equals_uninterrupted(self, tmp_path, command):
+        configs = {}
+        for total in (3, 6):
+            (tmp_path / str(total)).mkdir()
+            configs[total] = write_config(tmp_path / str(total), **{
+                "train.finetune.augment": {"enabled": True},
+                f"train.{command}.total_iterations": total})
+        data, pairs = str(tmp_path / "data"), str(tmp_path / "pairs")
+        assert run(["synth", "--config", configs[6], "--out", data]) == 0
+        assert run(["pairs", "--config", configs[6], "--in", data, "--out", pairs]) == 0
+        inputs = ["--data", data] + (["--pairs", pairs] if command == "pretrain" else [])
+        straight, resumed = tmp_path / "straight", tmp_path / "resumed"
+        assert run([command, "--config", configs[6], *inputs, "--out", str(straight)]) == 0
+        assert run([command, "--config", configs[3], *inputs, "--out", str(resumed)]) == 0
+        assert run([command, "--config", configs[6], *inputs, "--out", str(resumed),
+                    "--resume", str(resumed / "model.ckpt")]) == 0
+        for name in ("model.ckpt", f"{command}_log.jsonl"):
+            assert (resumed / name).read_bytes() == (straight / name).read_bytes(), name
 
     def test_training_commands_deterministic(self, pipeline):
         cfg, d = pipeline

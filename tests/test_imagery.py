@@ -1,3 +1,5 @@
+import re
+
 import numpy as np
 import pytest
 
@@ -52,6 +54,19 @@ class TestLoadImage:
         p = write(tmp_path / "h.pgm", b"P5\ntwo 2\n255\n" + bytes(4))
         with pytest.raises(MalformedHeaderError):
             load_image(p)
+
+    @pytest.mark.parametrize("header, message", [
+        (b"P5\n2 x\n255\n", "non-integer height: b'x'"),
+        (b"P6\n2 2\nmax\n", "non-integer maxval: b'max'"),
+        (b"P5\n0 2\n255\n", "dimensions must be positive"),
+        (b"P5\n2 2\n70000\n", "maxval 70000 out of range"),
+        (b"Pf\n2 -1\n-1.0\n", "dimensions must be positive"),
+        (b"PF\n2 2\nbig\n", "non-numeric scale: b'big'"),
+        (b"Pf\n2 2", "unexpected end of header"),
+    ])
+    def test_header_errors_name_the_fault(self, tmp_path, header, message):
+        with pytest.raises(MalformedHeaderError, match=re.escape(message)):
+            load_image(write(tmp_path / "h.img", header))
 
     def test_header_comments_skipped(self, tmp_path):
         p = write(tmp_path / "c.pgm", b"P5\n# comment\n1 1\n255\n" + bytes([200]))
