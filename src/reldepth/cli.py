@@ -9,9 +9,12 @@ failure, 2 on runtime failure.
 
 import argparse
 import json
+import multiprocessing
+import os
 import sys
 from dataclasses import dataclass, fields, replace
 from pathlib import Path
+from typing import get_args, get_origin
 
 import numpy as np
 
@@ -65,7 +68,7 @@ class SynthConfig:
     height: int = 128
     layers_min: int = 2
     layers_max: int = 3
-    disparity_choices: tuple = (1, 5, 9, 13)
+    disparity_choices: tuple[int, ...] = (1, 5, 9, 13)
     texture_density: float = 1.0
     d_max: int = 16
 
@@ -122,15 +125,43 @@ def _reject_unknown(keys, name, known=()):
         raise ConfigError(f"{name}: unknown key {unknown[0]!r}")
 
 
+# the JSON values a number of each type takes; a JSON boolean is neither
+JSON_NUMBERS = {int: (int,), float: (int, float)}
+
+
+def _number_type(annotation):
+    """int or float when every number a field with the type annotation holds,
+    through nested tuples, has that type; otherwise None."""
+    if annotation in JSON_NUMBERS:
+        return annotation
+    if get_origin(annotation) is tuple:
+        types = {_number_type(arg) for arg in get_args(annotation) if arg is not Ellipsis}
+        return types.pop() if len(types) == 1 else None
+    return None
+
+
+def _holds_only(value, types):
+    """Whether value, or each entry of it through nested lists, has one of the
+    types exactly."""
+    if isinstance(value, (list, tuple)):
+        return all(_holds_only(entry, types) for entry in value)
+    return type(value) in types
+
+
 def _build(name, base, sec, fixed=()):
     """The dataclass instance base with the section's keys replacing its
     fields. Each key must name a field other than the fixed ones, which the
-    code sets, and a field whose value in base is an int takes only a JSON
-    integer; a bad key or value is a config error of the named section."""
-    _reject_unknown(sec, name, {f.name for f in fields(base)} - set(fixed))
+    code sets. A field typed int takes only a JSON integer and a field typed
+    float any JSON number but a boolean, and each entry of a tuple of them
+    the same; a bad key or value is a config error of the named section."""
+    types = {f.name: f.type for f in fields(base)}
+    _reject_unknown(sec, name, set(types) - set(fixed))
     for key, value in sec.items():
-        if type(getattr(base, key)) is int and type(value) is not int:
-            raise ConfigError(f"{name}: {key} must be an integer, got {value!r}")
+        number = _number_type(types[key])
+        if number and not _holds_only(value, JSON_NUMBERS[number]):
+            what = "an integer" if number is int else "a number"
+            each = "every value in " if isinstance(value, (list, tuple)) else ""
+            raise ConfigError(f"{name}: {each}{key} must be {what}, got {value!r}")
     try:
         return replace(base, **sec)
     except (TypeError, ValueError) as exc:
@@ -349,25 +380,84 @@ def cmd_synth(cfg: PipelineConfig, out_dir):
     return EXIT_OK
 
 
-def _scene_loop(in_dir, out_dir, work, verb, **manifest):
+def _scene_loop(in_dir, out_dir, work, verb, processes=1, **manifest):
     """Run work(scene, out) over the scenes of in_dir's manifest; it returns
     the scene's entry for the output manifest. A scene that fails with
     OSError or ValueError is listed under "failures" and the others still run.
+
+    With processes > 1 the scenes are split into min(processes, scenes)
+    shares, scene k in share k % shares: this process works share 0 and a
+    forked child each other share, sending back one (entry, error text) per
+    scene. A child that dies fails each scene it did not report with "stereo
+    worker exited <code>". Outcomes are taken in scene order, so the manifest,
+    the stderr lines and the exit code do not depend on the process count.
     Writes out_dir/manifest.json (the entries plus the manifest keyword
     arguments) and returns exit code 2 if any scene failed."""
     scenes = _read_scenes(in_dir)
     out = Path(out_dir)
     out.mkdir(parents=True, exist_ok=True)
-    entries, failures = [], []
-    for scene in scenes:
+
+    def attempt(scene):
         try:
-            entries.append({"index": scene["index"], **work(scene, out)})
+            return {"index": scene["index"], **work(scene, out)}, None
         except (OSError, ValueError) as exc:
-            failures.append({"index": scene["index"], "error": str(exc)})
-            print(f"scene {scene['index']}: {exc}", file=sys.stderr)
+            return None, str(exc)
+
+    entries, failures = [], []
+    for scene, (entry, error) in zip(scenes, _in_shares(scenes, attempt, processes)):
+        if error is None:
+            entries.append(entry)
+        else:
+            failures.append({"index": scene["index"], "error": error})
+            print(f"scene {scene['index']}: {error}", file=sys.stderr)
     _write_json(out / "manifest.json", {**manifest, "scenes": entries, "failures": failures})
     print(f"{verb} {len(entries)}/{len(scenes)} scenes into {out}")
     return EXIT_RUNTIME if failures else EXIT_OK
+
+
+def _send_outcomes(share, attempt, conn):
+    for scene in share:
+        conn.send(attempt(scene))
+    conn.close()
+
+
+def _in_shares(scenes, attempt, processes):
+    """[attempt(scene) for scene in scenes], worked as _scene_loop describes.
+
+    The children are forked, not spawned: they inherit attempt's closure, so
+    nothing of reldepth is pickled (once reldepth is imported afresh in a
+    process, its functions no longer pickle by name) and only builtin
+    outcomes cross the pipes. Forking a process that has BLAS threads is safe
+    here because the children run elementwise numpy only. Every child is
+    joined before this returns or raises."""
+    shares = max(1, min(processes, len(scenes)))
+    fork = multiprocessing.get_context("fork")
+    children = []
+    try:
+        for k in range(1, shares):
+            receiver, sender = fork.Pipe(duplex=False)
+            child = fork.Process(target=_send_outcomes, args=(scenes[k::shares], attempt, sender))
+            child.start()
+            children.append((child, receiver))
+            sender.close()  # the child holds the only sender, so its death ends the pipe
+        outcomes = [None] * len(scenes)
+        outcomes[0::shares] = [attempt(scene) for scene in scenes[0::shares]]
+        for k, (child, receiver) in enumerate(children, 1):
+            got = []
+            for _ in scenes[k::shares]:
+                try:
+                    got.append(receiver.recv())
+                except EOFError:
+                    break
+            child.join()
+            lost = (None, f"stereo worker exited {child.exitcode}")
+            outcomes[k::shares] = got + [lost] * (len(scenes[k::shares]) - len(got))
+        return outcomes
+    finally:
+        for child, receiver in children:
+            child.terminate()  # a no-op for a child already joined
+            child.join()
+            receiver.close()
 
 
 def cmd_stereo(cfg: PipelineConfig, in_dir, out_dir):
@@ -380,7 +470,10 @@ def cmd_stereo(cfg: PipelineConfig, in_dir, out_dir):
         save_pfm(disp, out / name)
         return {"disparity": name}
 
+    # each scene is matched on its own, so the scenes are spread over the cores;
+    # pairs stays in-process, its per-scene work being shorter than a fork
     return _scene_loop(in_dir, out_dir, match, "matched",
+                       processes=len(os.sched_getaffinity(0)),
                        kind="disparity", d_max=cfg.sgm_params.d_max)
 
 

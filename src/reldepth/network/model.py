@@ -39,10 +39,10 @@ HEAD_MODES = (RANKING, CLASSIFICATION, REGRESSION)
 @dataclass
 class NetConfig:
     in_channels: int = 3
-    stage_widths: tuple = (16, 32, 64)
-    stage_blocks: tuple = (2, 2, 2)
-    stage_strides: tuple = (1, 2, 2)
-    head_widths: tuple = (64, 32)
+    stage_widths: tuple[int, ...] = (16, 32, 64)
+    stage_blocks: tuple[int, ...] = (2, 2, 2)
+    stage_strides: tuple[int, ...] = (1, 2, 2)
+    head_widths: tuple[int, ...] = (64, 32)
     head_mode: str = RANKING
     head_channels: int = 1
     seed: int = 0

@@ -30,7 +30,7 @@ class TrainSchedule:
     batch_size: int = 4
     learning_rate: float = 2e-4
     total_iterations: int = 300
-    decay_iterations: tuple = ()
+    decay_iterations: tuple[int, ...] = ()
     decay_factor: float = 0.1
 
     def __post_init__(self):
@@ -56,7 +56,7 @@ class TrainSchedule:
 
 @dataclass
 class AugmentConfig:
-    scale_range: tuple = (1.0, 1.25)
+    scale_range: tuple[float, float] = (1.0, 1.25)
     flip_prob: float = 0.5
 
     def __post_init__(self):

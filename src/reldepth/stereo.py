@@ -56,7 +56,7 @@ class SgmParams:
     p1: float
     p2: float
     d_max: int
-    directions: tuple = DIRECTIONS_8
+    directions: tuple[tuple[int, int], ...] = DIRECTIONS_8
     border_cost: float | None = None  # None: channel count, set at cost time
 
     def __post_init__(self):

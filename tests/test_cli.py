@@ -1,7 +1,10 @@
 import hashlib
 import inspect
 import json
+import multiprocessing
+import os
 import struct
+import time
 from pathlib import Path
 
 import numpy as np
@@ -190,6 +193,108 @@ class TestStereoAndPairs:
         assert not (tmp_path / "out").exists()
 
 
+def stereo_run(tmp_path, capsys, count, cpus, monkeypatch, out="disp"):
+    """synth count scenes unless tmp_path has them, then stereo them seeing
+    cpus usable cores, so the forked path runs on any machine; returns (exit
+    code, output directory, stderr lines of the stereo command)."""
+    cfg = write_config(tmp_path, **{"synth.count": count})
+    synth_dir = tmp_path / "synth"
+    if not synth_dir.exists():
+        assert run(["synth", "--config", cfg, "--out", str(synth_dir)]) == 0
+    capsys.readouterr()
+    monkeypatch.setattr(os, "sched_getaffinity", lambda pid: set(range(cpus)))
+    rc = run(["stereo", "--config", cfg, "--in", str(synth_dir), "--out", str(tmp_path / out)])
+    return rc, tmp_path / out, capsys.readouterr().err.splitlines()
+
+
+class TestStereoProcesses:
+    @pytest.mark.parametrize("count", [1, 2, 3, 5])
+    @pytest.mark.parametrize("cpus", [1, 2, 3])
+    def test_outputs_equal_in_process_matching(self, tmp_path, capsys, monkeypatch,
+                                               cpus, count):
+        from reldepth import stereo
+        from reldepth.cli import load_config
+        from reldepth.imagery import load_image, save_pfm
+
+        rc, out, err = stereo_run(tmp_path, capsys, count, cpus, monkeypatch)
+        assert (rc, err) == (0, [])
+        cfg = load_config(write_config(tmp_path, **{"synth.count": count}))
+        names = [f"disp_{i:03d}.pfm" for i in range(count)]
+        expected = {"kind": "disparity", "d_max": 8, "failures": [],
+                    "scenes": [{"index": i, "disparity": n} for i, n in enumerate(names)]}
+        assert (out / "manifest.json").read_text() == json.dumps(
+            expected, sort_keys=True, indent=2) + "\n"
+        for i, name in enumerate(names):
+            left = load_image(tmp_path / "synth" / f"left_{i:03d}.ppm")
+            right = load_image(tmp_path / "synth" / f"right_{i:03d}.ppm")
+            save_pfm(stereo.match_pair(left, right, cfg.sgm_params, bilsub_params=cfg.bilsub,
+                                       median_radius=cfg.median_radius), tmp_path / name)
+            assert (out / name).read_bytes() == (tmp_path / name).read_bytes()
+        assert multiprocessing.active_children() == []
+
+    @pytest.mark.parametrize("cpus", [2, 3])
+    def test_failed_scenes_report_as_in_process(self, tmp_path, capsys, monkeypatch, cpus):
+        cfg = write_config(tmp_path, **{"synth.count": 3})
+        assert run(["synth", "--config", cfg, "--out", str(tmp_path / "synth")]) == 0
+        # scene 1 is in a child's share, scene 2 in the parent's or a child's
+        (tmp_path / "synth" / "left_001.ppm").write_bytes(b"P6\n4 4\n255\n")
+        (tmp_path / "synth" / "right_002.ppm").unlink()
+        rc, serial, serial_err = stereo_run(tmp_path, capsys, 3, 1, monkeypatch, "serial")
+        assert rc == 2 and len(serial_err) == 2
+        assert serial_err[0].startswith("scene 1:") and serial_err[1].startswith("scene 2:")
+        rc, forked, forked_err = stereo_run(tmp_path, capsys, 3, cpus, monkeypatch, "forked")
+        assert (rc, forked_err) == (2, serial_err)
+        assert (forked / "manifest.json").read_bytes() == (serial / "manifest.json").read_bytes()
+        assert (forked / "disp_000.pfm").read_bytes() == (serial / "disp_000.pfm").read_bytes()
+
+    @pytest.mark.parametrize("dies_on_call, exit_code, failed", [
+        (1, 9, [1, 2, 4]),  # each child dies on its first scene, by os._exit(9)
+        (2, 1, [4]),  # the child with two scenes raises on its second
+    ])
+    def test_dead_worker_fails_the_scenes_it_did_not_report(
+            self, tmp_path, capsys, monkeypatch, dies_on_call, exit_code, failed):
+        from reldepth import stereo
+
+        parent, real_match, calls = os.getpid(), stereo.match_pair, []
+
+        def match_pair(*args, **kwargs):
+            if os.getpid() != parent:
+                calls.append(1)
+                if len(calls) == dies_on_call:
+                    if exit_code == 9:
+                        os._exit(9)
+                    raise RuntimeError("not a scene failure")
+            return real_match(*args, **kwargs)
+
+        monkeypatch.setattr(stereo, "match_pair", match_pair)
+        # shares of 5 scenes on 3 cores: {0, 3} here, {1, 4} and {2} in children
+        rc, out, err = stereo_run(tmp_path, capsys, 5, 3, monkeypatch)
+        manifest = json.loads((out / "manifest.json").read_text())
+        assert rc == 2
+        assert manifest["failures"] == [
+            {"index": i, "error": f"stereo worker exited {exit_code}"} for i in failed]
+        assert [e["index"] for e in manifest["scenes"]] == sorted({0, 1, 2, 3, 4} - set(failed))
+        assert err == [f"scene {i}: stereo worker exited {exit_code}" for i in failed]
+        assert multiprocessing.active_children() == []
+
+    def test_error_in_own_share_stops_the_children(self, tmp_path, capsys, monkeypatch):
+        from reldepth import stereo
+
+        parent = os.getpid()
+
+        def match_pair(*args, **kwargs):
+            if os.getpid() == parent:
+                raise RuntimeError("parent share failed")
+            time.sleep(60)
+
+        monkeypatch.setattr(stereo, "match_pair", match_pair)
+        start = time.perf_counter()
+        with pytest.raises(RuntimeError, match="parent share failed"):
+            stereo_run(tmp_path, capsys, 3, 3, monkeypatch)
+        assert time.perf_counter() - start < 30
+        assert multiprocessing.active_children() == []
+
+
 class TestConfigValidation:
     def test_bad_penalties_rejected_before_work(self, tmp_path, capsys):
         assert_config_rejected(write_config(tmp_path, **{"sgm.p1": 5.0, "sgm.p2": 1.0}),
@@ -246,6 +351,18 @@ class TestConfigValidation:
         ("train.finetune.augment.flip_prob", 5.0, "flip probability must lie in [0, 1]"),
         ("train.finetune.augment.flip_prob", -1.0, "flip probability must lie in [0, 1]"),
         ("sgm.directions", "diag", "one of all, horizontal, got 'diag'"),
+        # so does every value of a tuple of integers, and a float field takes no bool
+        ("train.net.stage_widths", [3.7, 4, 5],
+         "train.net: every value in stage_widths must be an integer, got [3.7, 4, 5]"),
+        ("synth.disparity_choices", [1.5, 6],
+         "synth: every value in disparity_choices must be an integer, got [1.5, 6]"),
+        ("train.pretrain.decay_iterations", [1.5],
+         "train.pretrain: every value in decay_iterations must be an integer, got [1.5]"),
+        ("sgm.directions", [[0, 1.5]],
+         "sgm: every value in directions must be an integer, got [[0, 1.5]]"),
+        ("train.pretrain.learning_rate", True,
+         "train.pretrain: learning_rate must be a number, got True"),
+        ("pairs.eq_threshold", True, "pairs: eq_threshold must be a number, got True"),
     ])
     def test_bad_value_rejected_by_name(self, tmp_path, capsys, key, value, message):
         err = assert_config_rejected(write_config(tmp_path, **{key: value}), tmp_path, capsys)
