@@ -30,6 +30,7 @@ from .imagery import (
     save_image,
     save_pfm,
 )
+from .imagery.io import _atomic_write
 from .metrics import aggregate, evaluate
 from .network import (
     AugmentConfig,
@@ -297,7 +298,8 @@ def _derive_seed(*parts):
 
 
 def _write_json(path, payload):
-    Path(path).write_text(json.dumps(payload, sort_keys=True, indent=2) + "\n")
+    with _atomic_write(path, "w") as fh:
+        fh.write(json.dumps(payload, sort_keys=True, indent=2) + "\n")
 
 
 def _read_scenes(dirpath):

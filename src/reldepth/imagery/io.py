@@ -5,9 +5,16 @@ line, a scale line whose sign encodes endianness (negative = little endian,
 the only variant written here), and rows stored bottom-to-top. Depth maps
 mark invalid pixels with a -inf sentinel in the payload and recover them
 into the validity mask on load.
+
+Every writer here, and the pair CSV, checkpoint and manifest writers, goes
+through ``_atomic_write``: a crashed or failed write leaves the old file or
+no file, never a partly written one.
 """
 
 import math
+import os
+import tempfile
+from contextlib import contextmanager
 
 import numpy as np
 
@@ -30,6 +37,31 @@ class MalformedHeaderError(ImageIOError):
 
 class MalformedPayloadError(ImageIOError):
     """Pixel payload truncated or inconsistent with the header."""
+
+
+@contextmanager
+def _atomic_write(path, mode):
+    """Open a hidden temporary file next to path for writing ("w" or "wb")
+    and move it onto path once the block completes. On any exception the
+    temporary file is removed and path is left as it was. Text mode writes
+    UTF-8 with no newline translation. The file gets the permissions a
+    plain open() would give it."""
+    directory, name = os.path.split(os.fspath(path))
+    fd, tmp = tempfile.mkstemp(prefix=f".{name}.", suffix=".tmp", dir=directory or ".")
+    try:
+        umask = os.umask(0)
+        os.umask(umask)
+        os.fchmod(fd, 0o666 & ~umask)
+        text = {} if "b" in mode else {"encoding": "utf-8", "newline": ""}
+        with os.fdopen(fd, mode, **text) as fh:
+            fd = None  # closed with fh from here on
+            yield fh
+        os.replace(tmp, path)
+    except BaseException:
+        if fd is not None:
+            os.close(fd)
+        os.unlink(tmp)
+        raise
 
 
 def _read_token(buf, pos):
@@ -125,7 +157,7 @@ def save_image(image: Image, path, maxval=255):
     quant = np.rint(image.data * maxval)
     dtype = np.dtype(">u2") if maxval > 255 else np.dtype("u1")
     header = b"%s\n%d %d\n%d\n" % (magic, image.width, image.height, maxval)
-    with open(path, "wb") as fh:
+    with _atomic_write(path, "wb") as fh:
         fh.write(header)
         fh.write(quant.astype(dtype).tobytes())
 
@@ -150,7 +182,7 @@ def save_pfm(dmap: DepthMap, path):
     values = dmap.values.astype(np.float32).copy()
     values[~dmap.mask] = PFM_INVALID
     header = b"Pf\n%d %d\n-1.0\n" % (dmap.width, dmap.height)
-    with open(path, "wb") as fh:
+    with _atomic_write(path, "wb") as fh:
         fh.write(header)
         fh.write(values[::-1].astype("<f4").tobytes())
 

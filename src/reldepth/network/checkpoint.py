@@ -19,6 +19,7 @@ from dataclasses import asdict
 
 import numpy as np
 
+from ..imagery.io import _atomic_write
 from .model import DepthNet, NetConfig
 
 MAGIC = b"RDCKPT01"
@@ -86,7 +87,7 @@ def save_checkpoint(net: DepthNet, path, iteration=0):
         "calibrated": calibrated_flags(net),
     }
     blob = json.dumps(manifest, sort_keys=True).encode()
-    with open(path, "wb") as fh:
+    with _atomic_write(path, "wb") as fh:
         fh.write(MAGIC)
         fh.write(struct.pack("<I", len(blob)))
         fh.write(blob)

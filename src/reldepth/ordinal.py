@@ -16,6 +16,7 @@ from itertools import compress
 
 import numpy as np
 
+from .imagery.io import _atomic_write
 from .imagery.types import DepthMap
 
 CLOSER = 1
@@ -172,7 +173,7 @@ def save_pairs_csv(pairs, path):
     """One pair per line: row_i,col_i,row_j,col_j,r (integer fields), with
     the csv module's \\r\\n line ends."""
     rows = pair_rows(pairs)
-    with open(path, "w", newline="") as fh:
+    with _atomic_write(path, "w") as fh:
         fh.write(("%d,%d,%d,%d,%d\r\n" * len(rows)) % tuple(rows.ravel().tolist()))
 
 

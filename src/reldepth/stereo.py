@@ -156,57 +156,68 @@ def ad_cost(left: Image, right: Image, d_max, border_cost=None) -> CostVolume:
     if border_cost is None:
         border_cost = float(left.channels)
     h, w = left.height, left.width
-    ldata = left.data.astype(np.float64)
-    rdata = right.data.astype(np.float64)
-    # filled disparity-major, so each disparity's plane is one contiguous block
+    # channel-major copies, so each channel's rows are contiguous
+    lchan, rchan = (image.data.transpose(2, 0, 1).astype(np.float64, order="C")
+                    for image in (left, right))
+    # filled disparity-major, so each disparity's plane is one contiguous
+    # block, and summed over the channels in order, one plane pass each
     costs = np.full((d_max, h, w), border_cost, dtype=np.float64)
+    scratch = np.empty((h, w), dtype=np.float64)
     for d in range(min(d_max, w)):
-        diff = np.abs(ldata[:, d:] - rdata[:, :w - d])
-        costs[d, :, d:] = diff.sum(axis=2)
+        plane = costs[d, :, d:]
+        np.abs(np.subtract(lchan[0, :, d:], rchan[0, :, :w - d], out=plane), out=plane)
+        for lc, rc in zip(lchan[1:], rchan[1:]):
+            diff = scratch[:, d:]
+            np.abs(np.subtract(lc[:, d:], rc[:, :w - d], out=diff), out=diff)
+            plane += diff
     return CostVolume(np.ascontiguousarray(costs.transpose(1, 2, 0)))
 
 
-def _relax(prev, p1, p2):
-    """One DP step: cheapest transition into each disparity, normalized.
+def _sweep_into(total, costs, p1, p2, dy, dx):
+    """Add one direction's path costs into total, one scan line at a time.
 
-    prev holds the predecessor's path costs along the trailing axis. Returns
-    min(stay, +-1 step + p1, jump + p2) minus the predecessor minimum.
+    A scan line is a column when dy == 0 and a row otherwise; the recurrence
+    restarts at each path start. Only the previous line's path costs are
+    kept. Each step is the DP relaxation
+
+        L(p, d) = C(p, d) + min(L(q, d), L(q, d +- 1) + p1, min_k L(q, k) + p2)
+                  - min_k L(q, k)
+
+    with q = p - (dy, dx); pixels without a predecessor start at C(p, d).
     """
-    m = prev.min(axis=-1, keepdims=True)
-    cand = np.minimum(prev, m + p2)
-    if prev.shape[-1] > 1:
-        np.minimum(cand[..., :-1], prev[..., 1:] + p1, out=cand[..., :-1])
-        np.minimum(cand[..., 1:], prev[..., :-1] + p1, out=cand[..., 1:])
-    return cand - m
-
-
-def _sweep(costs, p1, p2, dy, dx):
-    """Path costs for one direction, recurrence restarted at path starts."""
-    h, w, _ = costs.shape
-    out = np.empty_like(costs)
+    h, w, n_disp = costs.shape
     if dy == 0:
-        xs = range(w) if dx == 1 else range(w - 1, -1, -1)
-        for i, x in enumerate(xs):
-            if i == 0:
-                out[:, x] = costs[:, x]
-            else:
-                out[:, x] = costs[:, x] + _relax(out[:, x - dx], p1, p2)
-        return out
-    ys = range(h) if dy == 1 else range(h - 1, -1, -1)
-    for i, y in enumerate(ys):
-        if i == 0:
-            out[y] = costs[y]
-            continue
-        prev_row = out[y - dy]
-        if dx == 0:
-            out[y] = costs[y] + _relax(prev_row, p1, p2)
-        else:
-            out[y] = costs[y]
-            if dx == 1:
-                out[y, 1:] += _relax(prev_row[:-1], p1, p2)
-            else:
-                out[y, :-1] += _relax(prev_row[1:], p1, p2)
-    return out
+        n = h
+        lines = [(slice(None), x) for x in (range(w) if dx == 1 else range(w - 1, -1, -1))]
+        dx = 0  # every pixel of a column has its predecessor in the previous one
+    else:
+        n = w
+        lines = range(h) if dy == 1 else range(h - 1, -1, -1)
+    # the pixels of a line that have a predecessor, those predecessors in the
+    # previous line, and the pixel of a line that starts a path
+    here, there, start = {0: (slice(None), slice(None), None),
+                          1: (slice(1, None), slice(None, -1), 0),
+                          -1: (slice(None, -1), slice(1, None), n - 1)}[dx]
+    prev, cur = np.empty((n, n_disp)), np.empty((n, n_disp))
+    step, low, cap = np.empty((n, n_disp)), np.empty((n, 1)), np.empty((n, 1))
+    cur[...] = costs[lines[0]]
+    total[lines[0]] += cur
+    for line in lines[1:]:
+        prev, cur = cur, prev
+        line_costs = costs[line]
+        src, dst = prev[there], cur[here]
+        k = len(src)
+        m = np.min(src, axis=-1, keepdims=True, out=low[:k])
+        np.minimum(src, np.add(m, p2, out=cap[:k]), out=dst)
+        if n_disp > 1:
+            plus = np.add(src, p1, out=step[:k])
+            np.minimum(dst[:, :-1], plus[:, 1:], out=dst[:, :-1])
+            np.minimum(dst[:, 1:], plus[:, :-1], out=dst[:, 1:])
+        dst -= m
+        dst += line_costs[here]
+        if start is not None:
+            cur[start] = line_costs[start]
+        total[line] += cur
 
 
 def _opposed_pair_count(directions):
@@ -222,7 +233,11 @@ def sgm_aggregate(cv: CostVolume, params: SgmParams) -> CostVolume:
     Each sweep charges 2*P1 / 2*P2 per step (both ordered contributions of
     the step's pixel pair) and one copy of the data term is subtracted per
     opposed direction pair, so opposed sweeps combine into exact through-path
-    costs. Output is deterministic and independent of direction order.
+    costs. The sweeps run one after another in sorted direction order, each
+    adding its path costs into the total as soon as a scan line is done, so
+    no per-direction volume is held and every element of the total is summed
+    in direction order. Output is deterministic and independent of the
+    order in which the directions are given.
     """
     if cv.d_max != params.d_max:
         raise ValueError(
@@ -231,7 +246,7 @@ def sgm_aggregate(cv: CostVolume, params: SgmParams) -> CostVolume:
     p1, p2 = 2.0 * params.p1, 2.0 * params.p2
     total = np.zeros_like(cv.costs)
     for dy, dx in sorted(params.directions):
-        total += _sweep(cv.costs, p1, p2, dy, dx)
+        _sweep_into(total, cv.costs, p1, p2, dy, dx)
     n_pairs = _opposed_pair_count(params.directions)
     if n_pairs:
         total -= n_pairs * cv.costs
@@ -296,9 +311,13 @@ def median_filter(dmap: DepthMap, radius=1) -> DepthMap:
     out_mask = dmap.mask | (counts * 2 >= area)
     out_vals = np.zeros((h, w), dtype=np.float64)
     rows = stack.reshape(area, -1).T  # (H*W, area)
-    flat_mask = out_mask.ravel()
-    if flat_mask.any():
-        out_vals.ravel()[flat_mask] = np.nanmedian(rows[flat_mask], axis=1)
+    # a full window's median is its middle order statistic, an exact selection
+    full = counts.ravel() == area
+    if full.any():
+        out_vals.ravel()[full] = np.partition(rows[full], area // 2, axis=1)[:, area // 2]
+    partial = out_mask.ravel() & ~full
+    if partial.any():
+        out_vals.ravel()[partial] = np.nanmedian(rows[partial], axis=1)
     return DepthMap(out_vals.astype(np.float32), out_mask, kind=dmap.kind)
 
 

@@ -1,3 +1,4 @@
+import os
 import re
 
 import numpy as np
@@ -288,3 +289,70 @@ class TestAugment:
         with pytest.raises(ValueError):
             augment(img, depth, scale_range=(2.0, 1.0), flip_prob=0.0,
                     rng=np.random.default_rng(0))
+
+
+def _write_artifact(kind, path):
+    """Write a small artifact of the given kind with its reldepth writer."""
+    from reldepth.cli import _write_json
+    from reldepth.network import DepthNet, NetConfig, save_checkpoint
+    from reldepth.ordinal import save_pairs_csv
+
+    rng = np.random.default_rng(0)
+    if kind == "save_image":
+        save_image(Image(rng.random((4, 5, 3)).astype(np.float32)), path)
+    elif kind == "save_pfm":
+        save_pfm(DepthMap(rng.random((4, 5)).astype(np.float32) + 1.0, kind=DISPARITY), path)
+    elif kind == "save_pairs_csv":
+        save_pairs_csv(np.array([[0, 1, 2, 3, 1], [1, 1, 0, 0, -1]]), path)
+    elif kind == "save_checkpoint":
+        net = DepthNet(NetConfig(stage_widths=(3, 4, 5), stage_blocks=(1, 1, 1),
+                                 stage_strides=(1, 2, 2), head_widths=(6,)))
+        save_checkpoint(net, path, iteration=3)
+    else:
+        _write_json(path, {"scenes": [{"index": 0}]})
+
+
+WRITERS = ["save_image", "save_pfm", "save_pairs_csv", "save_checkpoint", "write_json"]
+
+
+class _FailingFile:
+    """A file whose first write stores half its data, then raises."""
+
+    def __init__(self, fh):
+        self._fh = fh
+
+    def write(self, data):
+        self._fh.write(data[:len(data) // 2])
+        raise OSError("disk full")
+
+    def __enter__(self):
+        return self
+
+    def __exit__(self, *exc):
+        return self._fh.__exit__(*exc)
+
+
+class TestAtomicWrite:
+    @pytest.mark.parametrize("kind", WRITERS)
+    def test_failed_write_leaves_old_file_or_none(self, tmp_path, monkeypatch, kind):
+        kept, fresh = tmp_path / "kept.bin", tmp_path / "fresh.bin"
+        kept.write_bytes(b"old artifact")
+        fdopen = os.fdopen
+        monkeypatch.setattr(os, "fdopen", lambda *a, **k: _FailingFile(fdopen(*a, **k)))
+        for path in (kept, fresh):
+            with pytest.raises(OSError, match="disk full"):
+                _write_artifact(kind, path)
+        assert kept.read_bytes() == b"old artifact"
+        assert sorted(p.name for p in tmp_path.iterdir()) == ["kept.bin"]
+
+    @pytest.mark.parametrize("kind", WRITERS)
+    def test_write_replaces_and_leaves_no_temp_file(self, tmp_path, kind):
+        path = tmp_path / "artifact"
+        _write_artifact(kind, tmp_path / "plain")
+        path.write_bytes(b"old artifact")
+        _write_artifact(kind, path)
+        assert path.read_bytes() == (tmp_path / "plain").read_bytes()
+        assert sorted(p.name for p in tmp_path.iterdir()) == ["artifact", "plain"]
+        umask = os.umask(0)
+        os.umask(umask)
+        assert path.stat().st_mode & 0o777 == 0o666 & ~umask

@@ -1,5 +1,9 @@
+import hashlib
+import itertools
+
 import numpy as np
 import pytest
+import sgm_reference
 
 from reldepth.imagery import DepthMap, Image, SynthSceneSpec, generate_stereogram
 from reldepth.stereo import (
@@ -28,6 +32,27 @@ def brute_force_min_energy(costs, p1, p2):
     diff = np.abs(np.diff(labelings, axis=1))
     pen = 2 * p1 * (diff == 1).sum(axis=1) + 2 * p2 * (diff > 1).sum(axis=1)
     return float((data + pen).min())
+
+
+def nanmedian_filter(dmap, radius):
+    """median_filter as a NaN-padded window stack reduced by np.nanmedian."""
+    h, w = dmap.values.shape
+    size = 2 * radius + 1
+    area = size * size
+    stack = np.full((area, h, w), np.nan, dtype=np.float64)
+    for i, (dy, dx) in enumerate(itertools.product(range(-radius, radius + 1), repeat=2)):
+        for y, x in itertools.product(range(h), range(w)):
+            sy, sx = y - dy, x - dx
+            if 0 <= sy < h and 0 <= sx < w and dmap.mask[sy, sx]:
+                stack[i, y, x] = dmap.values[sy, sx]
+    counts = (~np.isnan(stack)).sum(axis=0)
+    out_mask = dmap.mask | (counts * 2 >= area)
+    out_vals = np.zeros((h, w), dtype=np.float64)
+    rows = stack.reshape(area, -1).T
+    flat_mask = out_mask.ravel()
+    if flat_mask.any():
+        out_vals.ravel()[flat_mask] = np.nanmedian(rows[flat_mask], axis=1)
+    return DepthMap(out_vals.astype(np.float32), out_mask, kind=dmap.kind)
 
 
 class TestBilsub:
@@ -174,6 +199,25 @@ class TestAggregate:
                                         directions=tuple(reversed(DIRECTIONS_8))))
         assert np.array_equal(a.costs, b.costs)
 
+    @pytest.mark.parametrize(
+        "directions", [(d,) for d in DIRECTIONS_8] + [HORIZONTAL_PAIR, DIRECTIONS_8],
+        ids=[f"{dy},{dx}" for dy, dx in DIRECTIONS_8] + ["pair", "all"])
+    def test_matches_full_volume_sweeps_bitwise(self, directions):
+        rng = np.random.default_rng(len(directions) * 10 + DIRECTIONS_8.index(directions[0]))
+        # the last shape is narrower than the largest d_max
+        for (h, w), d_max in itertools.product(((1, 1), (1, 9), (9, 1), (7, 9), (6, 4)),
+                                               (1, 2, 5)):
+            # quarter steps make ties between disparities and paths common
+            costs = np.where(rng.random((h, w, d_max)) < 0.5,
+                             rng.integers(0, 4, (h, w, d_max)) * 0.25,
+                             rng.random((h, w, d_max)))
+            cv = CostVolume(costs)
+            for p1, p2 in ((0.1, 0.4), (0.25, 0.25), (0.0, 0.7)):
+                params = SgmParams(p1=p1, p2=p2, d_max=d_max, directions=directions)
+                got = sgm_aggregate(cv, params).costs
+                want = sgm_reference.sgm_aggregate(cv, params).costs
+                assert got.tobytes() == want.tobytes(), ((h, w), d_max, p1, p2)
+
     def test_dmax_mismatch(self):
         cv = CostVolume(np.zeros((2, 2, 3)))
         with pytest.raises(ValueError):
@@ -296,6 +340,40 @@ class TestMedianFilter:
         dm = DepthMap(np.full((3, 3), 2.0, dtype=np.float32), mask, kind="disparity")
         out = median_filter(dm, radius=1)
         assert not out.mask[1, 1]
+
+    @pytest.mark.parametrize("radius", [1, 2])
+    def test_matches_nanmedian_bitwise(self, radius):
+        rng = np.random.default_rng(radius)
+        for (h, w), invalid in itertools.product(((9, 11), (1, 7), (6, 1), (2, 2)),
+                                                 (0.0, 0.1, 0.4, 0.8)):
+            # whole disparities tie often; fractional ones make even-count
+            # medians average two distinct values
+            values = rng.integers(0, 6, (h, w)) + np.where(rng.random((h, w)) < 0.5, 0.0,
+                                                           rng.random((h, w)))
+            mask = rng.random((h, w)) >= invalid
+            dmap = DepthMap(values.astype(np.float32), mask, kind="disparity")
+            got = median_filter(dmap, radius)
+            want = nanmedian_filter(dmap, radius)
+            assert got.mask.tobytes() == want.mask.tobytes()
+            assert got.values.tobytes() == want.values.tobytes()
+
+
+class TestMatchPairBytes:
+    def test_desk_scene_digest_pinned(self):
+        # one scene at the desk config's shapes and stereo parameters; the
+        # digests were taken from the stereo front end before its stages
+        # were streamed, and pin its output bytes
+        spec = SynthSceneSpec(128, 128, layer_disparities=(1, 5, 13), texture_density=1.0,
+                              d_max=16, seed=3)
+        left, right, _ = generate_stereogram(spec)
+        disp = match_pair(left, right, SgmParams(p1=0.09, p2=0.72, d_max=16),
+                          bilsub_params=BilSubParams(spatial_sigma=2.0, range_sigma=0.1,
+                                                     radius=2),
+                          median_radius=1)
+        assert hashlib.sha256(disp.values.tobytes()).hexdigest() == (
+            "b2c8ef078c2d15364c4edd0bfe448f120ceafd65f99ec85ccef482454c033581")
+        assert hashlib.sha256(disp.mask.tobytes()).hexdigest() == (
+            "111ce3c2a38d83a2e4706bde4abddd509d7f8248116c6832b06745bdc349e09f")
 
 
 class TestPlantedRecovery:
