@@ -9,7 +9,6 @@ failure, 2 on runtime failure.
 
 import argparse
 import json
-import multiprocessing
 import os
 import sys
 from dataclasses import dataclass, fields, replace
@@ -18,7 +17,7 @@ from typing import get_args, get_origin
 
 import numpy as np
 
-from . import stereo
+from . import stereo, workers
 from .binning import BinningScheme, InfoGainMatrix, info_gain_matrix, make_bins
 from .imagery import (
     DISPARITY,
@@ -417,49 +416,29 @@ def _scene_loop(in_dir, out_dir, work, verb, processes=1, **manifest):
     return EXIT_RUNTIME if failures else EXIT_OK
 
 
-def _send_outcomes(share, attempt, conn):
-    for scene in share:
-        conn.send(attempt(scene))
-    conn.close()
-
-
 def _in_shares(scenes, attempt, processes):
     """[attempt(scene) for scene in scenes], worked as _scene_loop describes.
 
-    The children are forked, not spawned: they inherit attempt's closure, so
-    nothing of reldepth is pickled (once reldepth is imported afresh in a
-    process, its functions no longer pickle by name) and only builtin
-    outcomes cross the pipes. Forking a process that has BLAS threads is safe
-    here because the children run elementwise numpy only. Every child is
-    joined before this returns or raises."""
+    Only builtin outcomes cross the pipes (see workers.py). Forking a process
+    that has BLAS threads is safe here because the children run elementwise
+    numpy only. Every child is joined before this returns or raises."""
     shares = max(1, min(processes, len(scenes)))
-    fork = multiprocessing.get_context("fork")
-    children = []
-    try:
-        for k in range(1, shares):
-            receiver, sender = fork.Pipe(duplex=False)
-            child = fork.Process(target=_send_outcomes, args=(scenes[k::shares], attempt, sender))
-            child.start()
-            children.append((child, receiver))
-            sender.close()  # the child holds the only sender, so its death ends the pipe
+
+    def serve(k, conn):
+        for scene in scenes[k::shares]:
+            conn.send(attempt(scene))
+
+    with workers.forked(shares - 1, serve, "stereo worker") as children:
         outcomes = [None] * len(scenes)
         outcomes[0::shares] = [attempt(scene) for scene in scenes[0::shares]]
-        for k, (child, receiver) in enumerate(children, 1):
-            got = []
-            for _ in scenes[k::shares]:
+        for k, child in enumerate(children, 1):
+            lost = None  # the outcome of each scene left once the child died
+            for i in range(k, len(scenes), shares):
                 try:
-                    got.append(receiver.recv())
-                except EOFError:
-                    break
-            child.join()
-            lost = (None, f"stereo worker exited {child.exitcode}")
-            outcomes[k::shares] = got + [lost] * (len(scenes[k::shares]) - len(got))
+                    outcomes[i] = lost or child.recv()
+                except workers.WorkerExited as exc:
+                    outcomes[i] = lost = (None, str(exc))
         return outcomes
-    finally:
-        for child, receiver in children:
-            child.terminate()  # a no-op for a child already joined
-            child.join()
-            receiver.close()
 
 
 def cmd_stereo(cfg: PipelineConfig, in_dir, out_dir):
@@ -500,12 +479,33 @@ def _log_writer(fh):
     return write
 
 
+def _cut_log(path, iteration):
+    """Rewrite the training log at path, if there is one, keeping only the
+    whole records of iterations before iteration."""
+    if not path.is_file():
+        return
+    kept = []
+    for line in path.read_text().split("\n"):
+        try:
+            record = json.loads(line)
+        except json.JSONDecodeError:
+            continue
+        if isinstance(record, dict) and type(record.get("iter")) is int \
+                and record["iter"] < iteration:
+            kept.append(line + "\n")
+    with _atomic_write(path, "w") as fh:
+        fh.writelines(kept)
+
+
 def _train_stage(cfg: PipelineConfig, stage, out_dir, resume, continues, trainer, *args,
                  **kwargs):
     """Run trainer(net, *args, schedule, ...) for one stage ("pretrain" or
     "finetune") on a fresh net or the resume checkpoint's, then save
     model.ckpt. When continues(net) holds for a checkpoint, training picks up
-    at its iteration and <stage>_log.jsonl is appended to, not restarted."""
+    at its iteration and <stage>_log.jsonl is appended to, not restarted,
+    once it is cut back to the records before that iteration: a run that
+    died after logging past its checkpoint leaves no duplicate or partial
+    line."""
     net, iteration = (DepthNet(cfg.net), 0) if resume is None else load_checkpoint(resume)
     for field in RESUME_FIELDS:
         have, want = getattr(net.config, field), getattr(cfg.net, field)
@@ -515,7 +515,10 @@ def _train_stage(cfg: PipelineConfig, stage, out_dir, resume, continues, trainer
     out.mkdir(parents=True, exist_ok=True)
     start_iteration = iteration if continues(net) else 0
     schedule = getattr(cfg, stage)
-    with open(out / f"{stage}_log.jsonl", "w" if start_iteration == 0 else "a") as fh:
+    log = out / f"{stage}_log.jsonl"
+    if start_iteration:
+        _cut_log(log, start_iteration)
+    with open(log, "w" if start_iteration == 0 else "a") as fh:
         trainer(net, *args, schedule, log_fn=_log_writer(fh),
                 start_iteration=start_iteration, **kwargs)
     ckpt = out / "model.ckpt"

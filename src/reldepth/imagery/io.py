@@ -188,7 +188,8 @@ def save_pfm(dmap: DepthMap, path):
 
 
 def load_pfm(path, kind=DEPTH) -> DepthMap:
-    """Load a single-channel PFM as a DepthMap, translating sentinels."""
+    """Load a single-channel PFM as a DepthMap, its -inf sentinels as
+    invalid pixels; a NaN or +inf in the payload is malformed."""
     with open(path, "rb") as fh:
         buf = fh.read()
     if buf[:2] == b"PF":
@@ -197,5 +198,7 @@ def load_pfm(path, kind=DEPTH) -> DepthMap:
         raise UnsupportedFormatError(f"unsupported magic {buf[:2]!r}")
     values = _decode_pfm(buf)
     mask = np.isfinite(values)
+    if (values[~mask] != PFM_INVALID).any():
+        raise MalformedPayloadError("payload holds NaN or +inf; only -inf marks invalid pixels")
     values[~mask] = 0.0
     return DepthMap(values, mask, kind=kind)

@@ -50,10 +50,14 @@ class Conv2d:
     computed on the phase grid, and the valid (out_h, out_w) window is cut
     out afterwards. Backward runs one dW GEMM and one dX GEMM per tap
     against the cached phase buffer over the whole batch; grid columns that
-    straddle the padding or the next image carry a zero gradient.
+    straddle the padding or the next image carry a zero gradient. A layer
+    built with ``input_grad=False`` (the net's stem, whose input is the
+    image) skips the dX GEMMs and returns a read-only zero array of the
+    input's shape.
     """
 
-    def __init__(self, in_channels, out_channels, ksize, stride=1, pad=None, *, rng):
+    def __init__(self, in_channels, out_channels, ksize, stride=1, pad=None, *, rng,
+                 input_grad=True):
         if pad is None:
             pad = ksize // 2
         self.in_channels = in_channels
@@ -64,6 +68,7 @@ class Conv2d:
         fan_in = in_channels * ksize * ksize
         self.weight = Tensor(he_normal(rng, (out_channels, in_channels, ksize, ksize), fan_in))
         self.bias = Tensor(np.zeros(out_channels))
+        self.input_grad = input_grad
         self._cache = None
 
     def params(self):
@@ -128,16 +133,20 @@ class Conv2d:
         flat = phases.reshape(m, m, c, -1)
         weights = self.weight.values.transpose(2, 3, 0, 1).reshape(k * k, self.out_channels, c)
         dweights = np.empty_like(weights)
+        taps = self._taps(wq)
+        for tap, phase, off in taps:
+            np.matmul(dgrid, flat[phase][:, off:off + count].T, out=dweights[tap])
+        self.weight.grad += dweights.reshape(k, k, self.out_channels, c).transpose(2, 3, 0, 1)
+        if not self.input_grad:
+            return np.broadcast_to(np.float64(0.0), (n, c, h, w))
         dflat = np.zeros_like(flat)
         dcols = np.empty((c, count))
-        for tap, phase, off in self._taps(wq):
-            np.matmul(dgrid, flat[phase][:, off:off + count].T, out=dweights[tap])
+        for tap, phase, off in taps:
             np.matmul(weights[tap].T, dgrid, out=dcols)
             dflat[phase][:, off:off + count] += dcols
-        self.weight.grad += dweights.reshape(k, k, self.out_channels, c).transpose(2, 3, 0, 1)
         dphases = dflat.reshape(phases.shape)
-        # the stem's backward sets the net's peak memory, so the gradient
-        # grid goes before the input gradient is allocated
+        # free the gradient grid before the input gradient is allocated, which
+        # keeps backward's peak memory down
         del dgrid, dcols
         dx = np.zeros((c, n, h, w))
         for phase, (pr, xr), (pc, xcol) in self._phase_windows(h, w):

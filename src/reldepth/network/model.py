@@ -82,7 +82,8 @@ class DepthNet:
         self.config = config
         rng = np.random.default_rng(config.seed)
         prev = config.stage_widths[0]
-        layers = [("stem", Conv2d(config.in_channels, prev, 3, stride=1, rng=rng)),
+        layers = [("stem", Conv2d(config.in_channels, prev, 3, stride=1, rng=rng,
+                                  input_grad=False)),
                   ("pool", MaxPool2())]
         for si, (width, blocks, stride) in enumerate(zip(
                 config.stage_widths, config.stage_blocks, config.stage_strides)):
@@ -142,6 +143,9 @@ class DepthNet:
         return x
 
     def backward(self, dout):
+        """Add each parameter's gradient. Nothing needs the image's
+        gradient, so the stem skips it and a read-only zero array of the
+        input's shape comes back (see Conv2d)."""
         for _, layer in reversed(self.layers):
             dout = layer.backward(dout)
         return dout
@@ -165,14 +169,19 @@ class DepthNet:
                                         np.random.default_rng(seed))
 
 
-def stack_images(images):
-    """List of equally sized Images -> (N, C, H, W) float64 batch."""
+def check_batch(images):
+    """Raise ValueError unless images is a non-empty list of equally sized Images."""
     if not images:
         raise ValueError("empty image batch")
     shape = images[0].data.shape
     for img in images:
         if img.data.shape != shape:
             raise ValueError("images in a batch must share one shape")
+
+
+def stack_images(images):
+    """List of equally sized Images -> (N, C, H, W) float64 batch."""
+    check_batch(images)
     return np.stack([img.data.transpose(2, 0, 1) for img in images]).astype(np.float64)
 
 

@@ -5,14 +5,28 @@ against. Plain SGD with a step learning-rate schedule; everything is
 deterministic given the seeds.
 
 The three trainers share one SGD loop and differ only in their set-up and
-their per-sample loss. Each iteration the loop draws a batch of samples,
-augments them if asked, runs the net once over the stacked images and hands
-each sample's (C, h, w) output with its target to the loss. The loss returns
-a LossResult whose gradient has that same shape, or None for a sample with
-nothing to score, which adds zero loss and zero gradient. Loss and gradient
-are averaged over the whole batch before one SGD step.
+their per-sample loss. Each iteration the loop draws a batch of samples and
+augments them if asked, all from one generator seeded by the stage seed and
+the iteration. Every sample runs through the net on its own: its (C, h, w)
+output goes with its target to the loss, which returns a LossResult whose
+gradient has that same shape, or None for a sample with nothing to score,
+which adds zero loss and zero gradient; backward then gives that sample's
+parameter gradients. Losses and gradients are summed in sample order and
+averaged over the batch before one SGD step.
+
+The samples are spread over the cores, sample k in share k mod n for
+n = min(cores, batch size). The loop works share 0 itself and forks one
+worker per other share, alive as long as the loop: each iteration a worker
+gets the iteration number and the parameters, draws the batch itself and
+sends back its samples' losses and gradients. Every process runs OpenBLAS on
+one thread, so a sample's gradient has the same bytes wherever it is
+computed, and checkpoints and logs do not depend on the core count. A
+sample whose draw, forward pass or loss raises ValueError comes back as the
+error's text, and the loop raises the first in sample order, so errors do
+not depend on it either.
 """
 
+import os
 from dataclasses import dataclass
 
 import numpy as np
@@ -22,7 +36,8 @@ from ..imagery.augment import augment, resize_depth
 from ..imagery.types import DepthMap, Image
 from ..losses import LossResult, infogain_loss, ranking_loss
 from ..ordinal import PairSet, check_inside, pair_rows
-from .model import CLASSIFICATION, REGRESSION, DepthNet, stack_images
+from ..workers import forked, one_blas_thread
+from .model import CLASSIFICATION, REGRESSION, DepthNet, check_batch, stack_images
 
 
 @dataclass
@@ -131,40 +146,97 @@ def _sgd_loop(net: DepthNet, dataset, schedule: TrainSchedule, seed, sample_loss
     """SGD on sample_loss(output, target) over a list of (Image, target);
     see the module docstring. Returns the history of {iter, loss, lr}.
     Each iteration draws from its own generator, seeded by (seed, iteration),
-    so a run resumed at start_iteration repeats an uninterrupted run."""
+    so a run resumed at start_iteration repeats an uninterrupted run. A
+    worker that dies raises WorkerExited, "training worker exited <code>"."""
     if not dataset:
         raise ValueError("dataset is empty")
-    history = []
-    for iteration in range(start_iteration, schedule.total_iterations):
+    iterations = range(start_iteration, schedule.total_iterations)
+    if not iterations:
+        return []
+    params = [t for _, t in net.named_params()]
+
+    def draw(iteration):
         rng = np.random.default_rng(np.random.SeedSequence([seed, iteration]))
-        lr = schedule.lr_at(iteration)
         idx = rng.integers(0, len(dataset), size=schedule.batch_size)
         batch = [dataset[i] for i in idx]
         if augment_cfg is not None:
             batch = [_augmented(image, depth, augment_cfg, rng) for image, depth in batch]
-        out = net.forward(stack_images([image for image, _ in batch]))
-        dout = np.zeros_like(out)
-        loss = 0.0
-        for k, (_, target) in enumerate(batch):
+        check_batch([image for image, _ in batch])
+        return batch
+
+    def sample_outcome(iteration, image, target):
+        out = net.forward(stack_images([image]))
+        try:
+            res = sample_loss(out[0], target)
+        except ValueError as exc:
+            raise ValueError(f"training diverged at iteration {iteration}: {exc}") from None
+        if res is None:
+            return None
+        for t in params:
+            t.zero_grad()
+        net.backward(res.gradient[None] / schedule.batch_size)
+        return res.value, [t.grad.copy() for t in params]
+
+    def share_outcomes(iteration, k, shares):
+        """Per sample k, k + shares, ...: (loss, parameter gradients), None
+        for a sample with nothing to score, or the text of the ValueError
+        that its draw, forward pass or loss raised. Every process sends
+        text, so the parent raises the same error whatever the core count."""
+        try:
+            batch = draw(iteration)
+        except ValueError as exc:
+            return [str(exc)] * len(range(k, schedule.batch_size, shares))
+        outcomes = []
+        for image, target in batch[k::shares]:
             try:
-                res = sample_loss(out[k], target)
+                outcomes.append(sample_outcome(iteration, image, target))
             except ValueError as exc:
-                raise ValueError(
-                    f"training diverged at iteration {iteration}: {exc}"
-                ) from None
-            if res is None:
-                continue
-            loss += res.value
-            dout[k] = res.gradient
-        loss /= schedule.batch_size
-        dout /= schedule.batch_size
-        net.zero_grad()
-        net.backward(dout)
-        _sgd_step(net, lr, clip_norm)
-        record = {"iter": iteration, "loss": loss, "lr": lr}
-        history.append(record)
-        if log_fn is not None:
-            log_fn(record)
+                outcomes.append(str(exc))
+        return outcomes
+
+    with one_blas_thread() as pinned:
+        # norms not yet calibrated (a fresh net, a new head) take their
+        # statistics from the first batch as a whole, before any fork
+        if not all(norm.calibrated for _, norm in net.named_norms()):
+            net.forward(stack_images([image for image, _ in draw(iterations[0])]))
+        shares = min(len(os.sched_getaffinity(0)), schedule.batch_size) if pinned else 1
+
+        def serve(k, conn):
+            while True:
+                try:
+                    iteration, values = conn.recv()
+                except EOFError:
+                    return
+                for tensor, value in zip(params, values):
+                    tensor.values[...] = value
+                conn.send(share_outcomes(iteration, k, shares))
+
+        history = []
+        with forked(shares - 1, serve, "training worker") as workers:
+            for iteration in iterations:
+                for worker in workers:
+                    worker.send((iteration, [t.values for t in params]))
+                outcomes = [None] * schedule.batch_size
+                outcomes[0::shares] = share_outcomes(iteration, 0, shares)
+                for k, worker in enumerate(workers, 1):
+                    outcomes[k::shares] = worker.recv()
+                loss = 0.0
+                for t in params:
+                    t.zero_grad()
+                for outcome in outcomes:
+                    if isinstance(outcome, str):
+                        raise ValueError(outcome)
+                    if outcome is not None:
+                        loss += outcome[0]
+                        for tensor, grad in zip(params, outcome[1]):
+                            tensor.grad += grad
+                loss /= schedule.batch_size
+                lr = schedule.lr_at(iteration)
+                _sgd_step(net, lr, clip_norm)
+                record = {"iter": iteration, "loss": loss, "lr": lr}
+                history.append(record)
+                if log_fn is not None:
+                    log_fn(record)
     return history
 
 

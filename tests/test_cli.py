@@ -295,6 +295,135 @@ class TestStereoProcesses:
         assert multiprocessing.active_children() == []
 
 
+# batch 4 splits into 1, 2 or 3 shares; augmentation draws in every share
+FOUR_SAMPLE_BATCHES = {
+    "train.pretrain.batch_size": 4, "train.pretrain.total_iterations": 3,
+    "train.finetune.batch_size": 4, "train.finetune.total_iterations": 3,
+    "train.finetune.augment": {"enabled": True},
+}
+
+
+def see_cpus(monkeypatch, cpus):
+    monkeypatch.setattr(os, "sched_getaffinity", lambda pid: set(range(cpus)))
+
+
+def synth_and_pairs(tmp_path, **overrides):
+    """A config and a synth dataset with pairs sampled from its ground truth;
+    returns (config path, synth dir, pairs dir)."""
+    cfg = write_config(tmp_path, **overrides)
+    data, pairs = str(tmp_path / "synth"), str(tmp_path / "pairs")
+    assert run(["synth", "--config", cfg, "--out", data]) == 0
+    assert run(["pairs", "--config", cfg, "--in", data, "--out", pairs]) == 0
+    return cfg, data, pairs
+
+
+class TestTrainingProcesses:
+    def test_bytes_do_not_depend_on_the_core_count(self, tmp_path, monkeypatch):
+        cfg, data, pairs = synth_and_pairs(tmp_path, **FOUR_SAMPLE_BATCHES)
+        trees = {}
+        for cpus in (1, 2, 3):
+            see_cpus(monkeypatch, cpus)
+            pre, fine = tmp_path / f"pre{cpus}", tmp_path / f"fine{cpus}"
+            assert run(["pretrain", "--config", cfg, "--data", data, "--pairs", pairs,
+                        "--out", str(pre)]) == 0
+            assert run(["finetune", "--config", cfg, "--data", data, "--out", str(fine),
+                        "--resume", str(pre / "model.ckpt")]) == 0
+            assert multiprocessing.active_children() == []
+            trees[cpus] = {path.name: path.read_bytes()
+                           for path in (*pre.iterdir(), *fine.iterdir())}
+        assert sorted(trees[1]) == ["finetune_log.jsonl", "model.ckpt", "pretrain_log.jsonl"]
+        assert trees[1] == trees[2] == trees[3]
+
+    def test_dead_worker_fails_the_command(self, tmp_path, capsys, monkeypatch):
+        from reldepth.network import training
+
+        cfg, data, pairs = synth_and_pairs(tmp_path, **FOUR_SAMPLE_BATCHES)
+        parent, real_loss = os.getpid(), training.ranking_loss
+
+        def ranking_loss(*args, **kwargs):
+            if os.getpid() != parent:
+                os._exit(7)
+            return real_loss(*args, **kwargs)
+
+        monkeypatch.setattr(training, "ranking_loss", ranking_loss)
+        see_cpus(monkeypatch, 3)
+        capsys.readouterr()
+        out = tmp_path / "pre"
+        assert run(["pretrain", "--config", cfg, "--data", data, "--pairs", pairs,
+                    "--out", str(out)]) == 2
+        assert capsys.readouterr().err == "error: training worker exited 7\n"
+        assert not (out / "model.ckpt").exists()
+        assert multiprocessing.active_children() == []
+
+    def test_loss_error_in_a_worker_reads_as_in_process(self, tmp_path, capsys, monkeypatch):
+        from reldepth.network import training
+
+        cfg, data, pairs = synth_and_pairs(tmp_path, **FOUR_SAMPLE_BATCHES)
+        real_loss = training.ranking_loss
+
+        def failing(fails):
+            parent, calls = os.getpid(), []
+
+            def ranking_loss(scores, grid_pairs, **kwargs):
+                calls.append(grid_pairs)
+                if fails(os.getpid() != parent, len(calls)):
+                    raise ValueError(f"no ranking for {len(grid_pairs)} pairs")
+                return real_loss(scores, grid_pairs, **kwargs)
+            return ranking_loss
+
+        errors = []
+        # sample 1 of iteration 0 fails: the second call in one process, the
+        # worker's first call on 2 cores
+        for cpus, fails in ((1, lambda child, n: n == 2), (2, lambda child, n: child)):
+            monkeypatch.setattr(training, "ranking_loss", failing(fails))
+            see_cpus(monkeypatch, cpus)
+            capsys.readouterr()
+            out = tmp_path / f"pre{cpus}"
+            assert run(["pretrain", "--config", cfg, "--data", data, "--pairs", pairs,
+                        "--out", str(out)]) == 2
+            assert not (out / "model.ckpt").exists()
+            errors.append(capsys.readouterr().err)
+        assert errors[0].startswith("error: training diverged at iteration 0: no ranking for")
+        assert errors[1] == errors[0]
+        assert multiprocessing.active_children() == []
+
+
+    @pytest.mark.parametrize("wide_scenes,message", [
+        ((0, 1), "input 32x33 not divisible by total stride 8"),
+        ((1,), "images in a batch must share one shape"),
+    ])
+    def test_image_size_errors_read_as_in_process(self, tmp_path, capfd, monkeypatch,
+                                                  wide_scenes, message):
+        from shutil import copy
+
+        from reldepth.cli import load_config
+        from reldepth.network import DepthNet, save_checkpoint
+
+        # the wide scenes are 33 pixels wide; on calibrated norms every
+        # sample's forward pass runs in its own share
+        cfg, data, pairs = synth_and_pairs(tmp_path, **FOUR_SAMPLE_BATCHES)
+        (tmp_path / "wide").mkdir()
+        wide = tmp_path / "wide" / "synth"
+        assert run(["synth", "--config", write_config(tmp_path / "wide", **{"synth.width": 33}),
+                    "--out", str(wide)]) == 0
+        for i in wide_scenes:
+            copy(wide / f"left_{i:03d}.ppm", data)
+        net = DepthNet(load_config(cfg).net)
+        net.forward(np.random.default_rng(0).random((2, 3, 32, 32)))
+        save_checkpoint(net, tmp_path / "calibrated.ckpt", iteration=0)
+        errors = []
+        for cpus in (1, 2):
+            see_cpus(monkeypatch, cpus)
+            capfd.readouterr()
+            out = tmp_path / f"pre{cpus}"
+            assert run(["pretrain", "--config", cfg, "--data", data, "--pairs", pairs,
+                        "--out", str(out), "--resume", str(tmp_path / "calibrated.ckpt")]) == 2
+            assert not (out / "model.ckpt").exists()
+            errors.append(capfd.readouterr().err)
+        # no worker traceback on the shared stderr
+        assert errors == [f"error: {message}\n"] * 2
+        assert multiprocessing.active_children() == []
+
 class TestConfigValidation:
     def test_bad_penalties_rejected_before_work(self, tmp_path, capsys):
         assert_config_rejected(write_config(tmp_path, **{"sgm.p1": 5.0, "sgm.p2": 1.0}),
@@ -594,6 +723,80 @@ class TestTrainEvalCommands:
                     "--resume", str(resumed / "model.ckpt")]) == 0
         for name in ("model.ckpt", f"{command}_log.jsonl"):
             assert (resumed / name).read_bytes() == (straight / name).read_bytes(), name
+
+    def test_resume_cuts_the_log_back_to_the_checkpoint(self, tmp_path):
+        configs = {}
+        for total in (3, 6):
+            (tmp_path / str(total)).mkdir()
+            configs[total] = write_config(tmp_path / str(total),
+                                          **{"train.pretrain.total_iterations": total})
+        cfg, data, pairs = synth_and_pairs(tmp_path)
+        inputs = ["--data", data, "--pairs", pairs]
+        straight, resumed = tmp_path / "straight", tmp_path / "resumed"
+        assert run(["pretrain", "--config", configs[6], *inputs, "--out", str(straight)]) == 0
+        assert run(["pretrain", "--config", configs[3], *inputs, "--out", str(resumed)]) == 0
+        lines = (straight / "pretrain_log.jsonl").read_text().splitlines(keepends=True)
+        assert len(lines) == 6
+        # a run that died after logging past the checkpoint: iteration 3's
+        # record, which the resumed run writes again, and half of iteration 4's
+        with open(resumed / "pretrain_log.jsonl", "a") as fh:
+            fh.write(lines[3] + lines[4][:len(lines[4]) // 2])
+        assert run(["pretrain", "--config", configs[6], *inputs, "--out", str(resumed),
+                    "--resume", str(resumed / "model.ckpt")]) == 0
+        for name in ("model.ckpt", "pretrain_log.jsonl"):
+            assert (resumed / name).read_bytes() == (straight / name).read_bytes(), name
+
+    @pytest.mark.parametrize("iteration", [4, 9])
+    def test_resume_at_or_past_the_end_runs_no_step(self, tmp_path, iteration):
+        from reldepth.cli import load_config
+        from reldepth.network import DepthNet, save_checkpoint
+
+        cfg, data, pairs = synth_and_pairs(tmp_path)  # 4 pretrain iterations
+        ckpt, out = tmp_path / "done.ckpt", tmp_path / "pre"
+        save_checkpoint(DepthNet(load_config(cfg).net), ckpt, iteration=iteration)
+        assert run(["pretrain", "--config", cfg, "--data", data, "--pairs", pairs,
+                    "--out", str(out), "--resume", str(ckpt)]) == 0
+        assert (out / "model.ckpt").read_bytes() == ckpt.read_bytes()
+        assert (out / "pretrain_log.jsonl").read_bytes() == b""
+
+    def test_classifier_with_other_bins(self, tmp_path, capsys):
+        from dataclasses import replace
+
+        from reldepth.cli import load_config
+        from reldepth.network import CLASSIFICATION, DepthNet, load_checkpoint, save_checkpoint
+
+        cfg, data, _ = synth_and_pairs(tmp_path)  # bins.B is 8
+        ckpt = tmp_path / "five.ckpt"
+        net = DepthNet(replace(load_config(cfg).net, head_mode=CLASSIFICATION, head_channels=5))
+        save_checkpoint(net, ckpt, iteration=2)
+        capsys.readouterr()
+        assert run(["eval", "--config", cfg, "--data", data, "--ckpt", str(ckpt),
+                    "--out", str(tmp_path / "eval")]) == 2
+        assert capsys.readouterr().err == "error: scheme has 8 bins, head has 5\n"
+        assert not (tmp_path / "eval" / "metrics.json").exists()
+        # finetune swaps the head and trains from iteration 0
+        fine = tmp_path / "fine"
+        assert run(["finetune", "--config", cfg, "--data", data, "--out", str(fine),
+                    "--resume", str(ckpt)]) == 0
+        tuned, iteration = load_checkpoint(fine / "model.ckpt")
+        assert (tuned.config.head_mode, tuned.config.head_channels, iteration) == (
+            CLASSIFICATION, 8, 4)
+        log = [json.loads(line) for line in (fine / "finetune_log.jsonl").read_text().splitlines()]
+        assert [record["iter"] for record in log] == [0, 1, 2, 3]
+        assert run(["eval", "--config", cfg, "--data", data, "--ckpt", str(fine / "model.ckpt"),
+                    "--out", str(tmp_path / "eval")]) == 0
+
+    def test_non_finite_ground_truth_fails_finetune(self, tmp_path, capsys):
+        cfg, data, _ = synth_and_pairs(tmp_path)
+        gt = Path(data) / "gt_001.pfm"
+        raw = bytearray(gt.read_bytes())
+        raw[-4:] = struct.pack("<f", float("nan"))
+        gt.write_bytes(bytes(raw))
+        capsys.readouterr()
+        assert run(["finetune", "--config", cfg, "--data", data,
+                    "--out", str(tmp_path / "fine")]) == 2
+        assert "only -inf marks invalid pixels" in capsys.readouterr().err
+        assert not (tmp_path / "fine" / "model.ckpt").exists()
 
     def test_training_commands_deterministic(self, pipeline):
         cfg, d = pipeline

@@ -155,6 +155,22 @@ class TestPfm:
         with pytest.raises(MalformedPayloadError):
             load_pfm(p)
 
+    @pytest.mark.parametrize("bad", [np.nan, np.inf])
+    def test_nan_and_positive_inf_payloads_rejected(self, tmp_path, bad):
+        payload = np.array([1.0, -np.inf, bad, 2.0], dtype="<f4").tobytes()
+        p = write(tmp_path / "bad.pfm", b"Pf\n2 2\n-1.0\n" + payload)
+        with pytest.raises(MalformedPayloadError, match="only -inf marks invalid pixels"):
+            load_pfm(p)
+
+    def test_negative_inf_loads_as_invalid(self, tmp_path):
+        payload = np.array([1.0, -np.inf, 3.0, 2.0], dtype="<f4").tobytes()
+        dm = load_pfm(write(tmp_path / "ok.pfm", b"Pf\n2 2\n-1.0\n" + payload))
+        # rows are stored bottom-to-top
+        assert np.array_equal(dm.mask, [[True, True], [True, False]])
+        assert np.array_equal(dm.values, [[3.0, 2.0], [1.0, 0.0]])
+        save_pfm(dm, tmp_path / "again.pfm")
+        assert (tmp_path / "again.pfm").read_bytes() == (tmp_path / "ok.pfm").read_bytes()
+
 
 class TestTypes:
     def test_image_rejects_out_of_range(self):

@@ -158,6 +158,21 @@ class TestLayers:
         assert out.shape == ref.shape
         assert np.abs(out - ref).max() <= 1e-12 * np.abs(ref).max()
 
+    @pytest.mark.parametrize("ksize,stride,pad,cin", _with_cin(CONV_SHAPES))
+    def test_conv_without_input_grad_gives_the_same_parameter_grads(
+            self, ksize, stride, pad, cin):
+        x = np.random.default_rng(9).standard_normal((2, cin, 7, 10))
+        convs = [Conv2d(cin, 4, ksize, stride=stride, pad=pad, rng=np.random.default_rng(8),
+                        input_grad=input_grad) for input_grad in (True, False)]
+        dout = np.random.default_rng(10).standard_normal(convs[0].forward(x).shape)
+        convs[1].forward(x)
+        assert convs[0].backward(dout).any()
+        dx = convs[1].backward(dout)
+        # the callers that wrap backward read the returned array's shape
+        assert dx.shape == x.shape and not dx.flags.writeable and not dx.any()
+        for full, skipped in zip(*(conv.params() for conv in convs)):
+            assert np.array_equal(full[1].grad, skipped[1].grad), full[0]
+
     def test_relu_backward_zeroes_dead_units(self):
         relu = ReLU()
         x = np.array([[-1.0, 2.0]])
@@ -362,6 +377,13 @@ def full_parameter_gradient_check(net, loss_from_scores, input_shape, seed):
 
 
 class TestWholeNetGradients:
+    def test_backward_skips_the_image_gradient(self):
+        net = tiny_net()
+        x = np.random.default_rng(13).random((2, 3, 16, 16))
+        dx = net.backward(np.ones_like(net.forward(x)))
+        assert dx.shape == x.shape and not dx.any()
+        assert any(t.grad.any() for _, t in net.named_params())
+
     def test_ranking_loss_every_parameter(self):
         net = tiny_net()
         pairs = [(0, 0, 1, 1, 1), (0, 1, 1, 0, -1), (1, 1, 0, 1, 0)]
