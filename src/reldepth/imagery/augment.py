@@ -55,6 +55,24 @@ def flip_depth(dmap: DepthMap) -> DepthMap:
     return DepthMap(dmap.values[:, ::-1].copy(), dmap.mask[:, ::-1].copy(), kind=dmap.kind)
 
 
+def scaled_size(height, width, s):
+    """The (height, width) that augment resizes to for scale factor s."""
+    return max(1, int(round(height * s))), max(1, int(round(width * s)))
+
+
+def draw_augment(image: Image, depth: DepthMap, scale_range=(1.0, 1.0), flip_prob=0.5,
+                 *, rng):
+    """augment's checks and random draws without its resampling: returns the
+    scale factor and whether to mirror, drawn from rng as augment draws them."""
+    lo, hi = scale_range
+    if not 0.0 < lo <= hi:
+        raise ValueError(f"invalid scale range ({lo}, {hi})")
+    if image.data.shape[:2] != depth.values.shape:
+        raise ValueError("image and depth must be aligned")
+    s = lo if lo == hi else float(rng.uniform(lo, hi))
+    return s, bool(flip_prob > 0.0 and rng.random() < flip_prob)
+
+
 def augment(image: Image, depth: DepthMap, scale_range=(1.0, 1.0), flip_prob=0.5,
             *, rng):
     """Randomly scale and mirror an (image, depth) pair.
@@ -63,20 +81,14 @@ def augment(image: Image, depth: DepthMap, scale_range=(1.0, 1.0), flip_prob=0.5
     depth values by s. With scale_range (1, 1) and flip_prob 0 the pair is
     returned unchanged. Randomness comes only from the supplied generator.
     """
-    lo, hi = scale_range
-    if not 0.0 < lo <= hi:
-        raise ValueError(f"invalid scale range ({lo}, {hi})")
-    if image.data.shape[:2] != depth.values.shape:
-        raise ValueError("image and depth must be aligned")
-    s = lo if lo == hi else float(rng.uniform(lo, hi))
+    s, flip = draw_augment(image, depth, scale_range, flip_prob, rng=rng)
     if s != 1.0:
-        new_h = max(1, int(round(image.height * s)))
-        new_w = max(1, int(round(image.width * s)))
+        new_h, new_w = scaled_size(image.height, image.width, s)
         image = resize_image(image, new_h, new_w)
         # depth shrinks as the scene looms closer; disparity grows with it
         value_scale = 1.0 / s if depth.kind == "depth" else s
         depth = resize_depth(depth, new_h, new_w, value_scale=value_scale)
-    if flip_prob > 0.0 and rng.random() < flip_prob:
+    if flip:
         image = flip_image(image)
         depth = flip_depth(depth)
     return image, depth

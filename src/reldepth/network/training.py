@@ -18,12 +18,13 @@ The samples are spread over the cores, sample k in share k mod n for
 n = min(cores, batch size). The loop works share 0 itself and forks one
 worker per other share, alive as long as the loop: each iteration a worker
 gets the iteration number and the parameters, draws the batch itself and
-sends back its samples' losses and gradients. Every process runs OpenBLAS on
-one thread, so a sample's gradient has the same bytes wherever it is
-computed, and checkpoints and logs do not depend on the core count. A
-sample whose draw, forward pass or loss raises ValueError comes back as the
-error's text, and the loop raises the first in sample order, so errors do
-not depend on it either.
+sends back its samples' losses and gradients. Every share makes the whole
+batch's augmentation draws but resamples only its own samples. Every process
+runs OpenBLAS on one thread, so a sample's gradient has the same bytes
+wherever it is computed, and checkpoints and logs do not depend on the core
+count. A sample whose draw, forward pass or loss raises ValueError comes back
+as the error's text, and the loop raises the first in sample order, so
+errors do not depend on it either.
 """
 
 import os
@@ -32,7 +33,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from ..binning import BinningScheme, InfoGainMatrix, depth_to_bin
-from ..imagery.augment import augment, resize_depth
+from ..imagery.augment import augment, draw_augment, resize_depth, scaled_size
 from ..imagery.types import DepthMap, Image
 from ..losses import LossResult, infogain_loss, ranking_loss
 from ..ordinal import PairSet, check_inside, pair_rows
@@ -129,16 +130,26 @@ def map_pairs_to_grid(pairs, stride):
     return PairSet(grid[(grid[:, 0] != grid[:, 2]) | (grid[:, 1] != grid[:, 3])])
 
 
-def _augmented(image, depth, aug: AugmentConfig, rng):
+def _augmented(image, depth, aug: AugmentConfig, rng, apply):
+    """Draw one sample's augmentation from rng, augment's scale and flip and
+    then the offsets of the crop back to the input grid, and return the
+    cropped pair; with apply False, make the same draws but return the pair
+    as given, resampling nothing."""
     h, w = image.height, image.width
-    img, dm = augment(image, depth, aug.scale_range, aug.flip_prob, rng=rng)
-    if img.height != h or img.width != w:
-        top = int(rng.integers(0, img.height - h + 1))
-        left = int(rng.integers(0, img.width - w + 1))
-        img = Image(img.data[top:top + h, left:left + w])
-        dm = DepthMap(dm.values[top:top + h, left:left + w],
-                      dm.mask[top:top + h, left:left + w], kind=dm.kind)
-    return img, dm
+    if apply:
+        image, depth = augment(image, depth, aug.scale_range, aug.flip_prob, rng=rng)
+        size = image.height, image.width
+    else:
+        s, _ = draw_augment(image, depth, aug.scale_range, aug.flip_prob, rng=rng)
+        size = scaled_size(h, w, s)
+    if size != (h, w):
+        top = int(rng.integers(0, size[0] - h + 1))
+        left = int(rng.integers(0, size[1] - w + 1))
+        if apply:
+            image = Image(image.data[top:top + h, left:left + w])
+            depth = DepthMap(depth.values[top:top + h, left:left + w],
+                             depth.mask[top:top + h, left:left + w], kind=depth.kind)
+    return image, depth
 
 
 def _sgd_loop(net: DepthNet, dataset, schedule: TrainSchedule, seed, sample_loss,
@@ -155,14 +166,19 @@ def _sgd_loop(net: DepthNet, dataset, schedule: TrainSchedule, seed, sample_loss
         return []
     params = [t for _, t in net.named_params()]
 
-    def draw(iteration):
+    def draw(iteration, k=0, shares=1):
+        """Samples k, k + shares, ... of the iteration's batch. Every
+        sample's augmentation is drawn, in sample order, so the draws do not
+        depend on the share; only the share's own samples are resampled. The
+        crop keeps each sample's shape, so the whole batch's is checked."""
         rng = np.random.default_rng(np.random.SeedSequence([seed, iteration]))
         idx = rng.integers(0, len(dataset), size=schedule.batch_size)
         batch = [dataset[i] for i in idx]
         if augment_cfg is not None:
-            batch = [_augmented(image, depth, augment_cfg, rng) for image, depth in batch]
+            batch = [_augmented(image, depth, augment_cfg, rng, n % shares == k)
+                     for n, (image, depth) in enumerate(batch)]
         check_batch([image for image, _ in batch])
-        return batch
+        return batch[k::shares]
 
     def sample_outcome(iteration, image, target):
         out = net.forward(stack_images([image]))
@@ -183,11 +199,11 @@ def _sgd_loop(net: DepthNet, dataset, schedule: TrainSchedule, seed, sample_loss
         that its draw, forward pass or loss raised. Every process sends
         text, so the parent raises the same error whatever the core count."""
         try:
-            batch = draw(iteration)
+            batch = draw(iteration, k, shares)
         except ValueError as exc:
             return [str(exc)] * len(range(k, schedule.batch_size, shares))
         outcomes = []
-        for image, target in batch[k::shares]:
+        for image, target in batch:
             try:
                 outcomes.append(sample_outcome(iteration, image, target))
             except ValueError as exc:

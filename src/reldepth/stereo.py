@@ -159,65 +159,95 @@ def ad_cost(left: Image, right: Image, d_max, border_cost=None) -> CostVolume:
     # channel-major copies, so each channel's rows are contiguous
     lchan, rchan = (image.data.transpose(2, 0, 1).astype(np.float64, order="C")
                     for image in (left, right))
-    # filled disparity-major, so each disparity's plane is one contiguous
-    # block, and summed over the channels in order, one plane pass each
-    costs = np.full((d_max, h, w), border_cost, dtype=np.float64)
+    # held disparity-major, (H, D, W), under the (H, W, D) view; each
+    # disparity's plane is summed over the channels in order, one pass each
+    costs = np.full((h, d_max, w), border_cost, dtype=np.float64)
     scratch = np.empty((h, w), dtype=np.float64)
     for d in range(min(d_max, w)):
-        plane = costs[d, :, d:]
+        plane = costs[:, d, d:]
         np.abs(np.subtract(lchan[0, :, d:], rchan[0, :, :w - d], out=plane), out=plane)
         for lc, rc in zip(lchan[1:], rchan[1:]):
             diff = scratch[:, d:]
             np.abs(np.subtract(lc[:, d:], rc[:, :w - d], out=diff), out=diff)
             plane += diff
-    return CostVolume(np.ascontiguousarray(costs.transpose(1, 2, 0)))
+    return CostVolume(costs.transpose(0, 2, 1))
 
 
-def _sweep_into(total, costs, p1, p2, dy, dx):
-    """Add one direction's path costs into total, one scan line at a time.
+# the column copy is built 64 rows of one disparity plane at a time, and the
+# E and W sweeps add their path costs into the total 16 columns at a time:
+# the fastest of the sizes tried at 128x128/d16 and 256x256/d48
+_COPY_ROWS, _ADD_COLUMNS = 64, 16
 
-    A scan line is a column when dy == 0 and a row otherwise; the recurrence
-    restarts at each path start. Only the previous line's path costs are
-    kept. Each step is the DP relaxation
+
+def _path_costs(lines, p1, p2, shift):
+    """Yield one direction's path costs line by line, in one reused buffer.
+
+    lines yields the contiguous (D, n) cost lines in scan order. A pixel's
+    predecessor q lies in the previous line, shift places before it; each
+    step is the DP relaxation
 
         L(p, d) = C(p, d) + min(L(q, d), L(q, d +- 1) + p1, min_k L(q, k) + p2)
                   - min_k L(q, k)
 
-    with q = p - (dy, dx); pixels without a predecessor start at C(p, d).
+    taken at q and added shifted along the flattened line, after which each
+    disparity row's path-start pixel is reset to C(p, d).
     """
-    h, w, n_disp = costs.shape
-    if dy == 0:
-        n = h
-        lines = [(slice(None), x) for x in (range(w) if dx == 1 else range(w - 1, -1, -1))]
-        dx = 0  # every pixel of a column has its predecessor in the previous one
-    else:
-        n = w
-        lines = range(h) if dy == 1 else range(h - 1, -1, -1)
-    # the pixels of a line that have a predecessor, those predecessors in the
-    # previous line, and the pixel of a line that starts a path
-    here, there, start = {0: (slice(None), slice(None), None),
-                          1: (slice(1, None), slice(None, -1), 0),
-                          -1: (slice(None, -1), slice(1, None), n - 1)}[dx]
-    prev, cur = np.empty((n, n_disp)), np.empty((n, n_disp))
-    step, low, cap = np.empty((n, n_disp)), np.empty((n, 1)), np.empty((n, 1))
-    cur[...] = costs[lines[0]]
-    total[lines[0]] += cur
-    for line in lines[1:]:
+    lines = iter(lines)
+    cur = np.array(next(lines))
+    n_disp, n = cur.shape
+    prev, step, plus = np.empty_like(cur), np.empty_like(cur), np.empty_like(cur)
+    low, cap = np.empty((1, n)), np.empty((1, n))
+    # a diagonal's flat positions that have a predecessor, those predecessors,
+    # and the position that starts a path
+    here, there, start = ((slice(1, None), slice(None, -1), 0) if shift == 1
+                          else (slice(None, -1), slice(1, None), n - 1))
+    yield cur
+    for line_costs in lines:
         prev, cur = cur, prev
-        line_costs = costs[line]
-        src, dst = prev[there], cur[here]
-        k = len(src)
-        m = np.min(src, axis=-1, keepdims=True, out=low[:k])
-        np.minimum(src, np.add(m, p2, out=cap[:k]), out=dst)
+        m = np.min(prev, axis=0, keepdims=True, out=low)
+        np.minimum(prev, np.add(m, p2, out=cap), out=step)
         if n_disp > 1:
-            plus = np.add(src, p1, out=step[:k])
-            np.minimum(dst[:, :-1], plus[:, 1:], out=dst[:, :-1])
-            np.minimum(dst[:, 1:], plus[:, :-1], out=dst[:, 1:])
-        dst -= m
-        dst += line_costs[here]
-        if start is not None:
-            cur[start] = line_costs[start]
-        total[line] += cur
+            np.add(prev, p1, out=plus)
+            np.minimum(step[:-1], plus[1:], out=step[:-1])
+            np.minimum(step[1:], plus[:-1], out=step[1:])
+        step -= m
+        if shift:
+            np.add(step.ravel()[there], line_costs.ravel()[here], out=cur.ravel()[here])
+            cur[:, start] = line_costs[:, start]
+        else:
+            np.add(step, line_costs, out=cur)
+        yield cur
+
+
+def _row_sweeps_into(total, costs, p1, p2, dy, dxs):
+    """Add the path costs of the directions (dy, dx), dx in dxs, into total,
+    both (H, D, W) in memory. Their scan lines are the costs' contiguous
+    (D, W) rows."""
+    ys = range(costs.shape[0])[::dy]
+    for dx in dxs:
+        for y, path in zip(ys, _path_costs((costs[y] for y in ys), p1, p2, dx)):
+            total[y] += path
+
+
+def _column_sweeps_into(total, costs, p1, p2, dxs):
+    """Add the path costs of the directions (0, dx), dx in dxs, into total,
+    both (H, D, W) in memory. Their scan lines are the contiguous (D, H)
+    columns of a (W, D, H) copy of the costs, and their path costs are added
+    _ADD_COLUMNS columns at a time."""
+    h, n_disp, w = costs.shape
+    cols = np.empty((w, n_disp, h))
+    for y0 in range(0, h, _COPY_ROWS):
+        for d in range(n_disp):
+            cols[:, d, y0:y0 + _COPY_ROWS] = costs[y0:y0 + _COPY_ROWS, d].T
+    block = np.empty((_ADD_COLUMNS, n_disp, h))
+    for dx in dxs:
+        xs = range(w)[::dx]
+        for x, path in zip(xs, _path_costs((cols[x] for x in xs), p1, p2, 0)):
+            x0 = x - x % _ADD_COLUMNS
+            x1 = min(x0 + _ADD_COLUMNS, w)
+            block[x - x0] = path
+            if x == (x1 - 1 if dx == 1 else x0):  # the block's last column in scan order
+                total[:, :, x0:x1] += block[:x1 - x0].transpose(2, 1, 0)
 
 
 def _opposed_pair_count(directions):
@@ -233,10 +263,12 @@ def sgm_aggregate(cv: CostVolume, params: SgmParams) -> CostVolume:
     Each sweep charges 2*P1 / 2*P2 per step (both ordered contributions of
     the step's pixel pair) and one copy of the data term is subtracted per
     opposed direction pair, so opposed sweeps combine into exact through-path
-    costs. The sweeps run one after another in sorted direction order, each
-    adding its path costs into the total as soon as a scan line is done, so
-    no per-direction volume is held and every element of the total is summed
-    in direction order. Output is deterministic and independent of the
+    costs. The sweeps run one after another in sorted direction order on
+    disparity-major (H, D, W) memory, each adding its path costs into the
+    total as soon as a scan line (for E and W, a block of columns) is done,
+    so every element of the total is summed in direction order. At most
+    three volumes are held: the costs, the total and, during E and W, the
+    costs' column copy. Output is deterministic and independent of the
     order in which the directions are given.
     """
     if cv.d_max != params.d_max:
@@ -244,13 +276,20 @@ def sgm_aggregate(cv: CostVolume, params: SgmParams) -> CostVolume:
             f"cost volume has {cv.d_max} levels, params expect {params.d_max}"
         )
     p1, p2 = 2.0 * params.p1, 2.0 * params.p2
-    total = np.zeros_like(cv.costs)
-    for dy, dx in sorted(params.directions):
-        _sweep_into(total, cv.costs, p1, p2, dy, dx)
+    # disparity-major memory, (H, D, W): ad_cost's own, other layouts copied
+    costs = np.ascontiguousarray(cv.costs.transpose(0, 2, 1))
+    total = np.zeros_like(costs)
+    for dy, group in itertools.groupby(sorted(params.directions), key=lambda d: d[0]):
+        dxs = tuple(dx for _, dx in group)
+        if dy:
+            _row_sweeps_into(total, costs, p1, p2, dy, dxs)
+        else:
+            _column_sweeps_into(total, costs, p1, p2, dxs)
     n_pairs = _opposed_pair_count(params.directions)
     if n_pairs:
-        total -= n_pairs * cv.costs
-    return CostVolume(total)
+        for row, row_costs in zip(total, costs):
+            row -= n_pairs * row_costs
+    return CostVolume(total.transpose(0, 2, 1))
 
 
 def winner_takes_all(cv: CostVolume) -> DepthMap:
@@ -326,9 +365,9 @@ def match_pair(left: Image, right: Image, params: SgmParams,
     """Full stereo front end: optional BilSub, AD cost, SGM, WTA, median."""
     if bilsub_params is not None:
         left, right = (bilsub(image, **asdict(bilsub_params)) for image in (left, right))
-    cv = ad_cost(left, right, params.d_max, border_cost=params.border_cost)
-    aggregated = sgm_aggregate(cv, params)
-    disp = winner_takes_all(aggregated)
+    # no volume outlives winner-takes-all
+    disp = winner_takes_all(sgm_aggregate(
+        ad_cost(left, right, params.d_max, border_cost=params.border_cost), params))
     if median_radius >= 1:
         disp = median_filter(disp, median_radius)
     return disp

@@ -1,5 +1,6 @@
 import hashlib
 import json
+import os
 import struct
 
 import numpy as np
@@ -702,6 +703,27 @@ def test_trainers_call_the_benchmark_hook_names(name, monkeypatch):
     kwargs = {} if name == "ranking" else {"augment_cfg": AugmentConfig()}
     assert len(train(net, TrainSchedule(batch_size=1, total_iterations=1), **kwargs)) == 1
     assert called == HOOKED[name]
+
+
+@pytest.mark.parametrize("name", ["classification", "regression"])
+def test_each_share_resamples_only_its_own_samples(name, monkeypatch):
+    from reldepth import workers
+    from reldepth.network import training
+
+    monkeypatch.setattr(os, "sched_getaffinity", lambda pid: set(range(2)))
+    shares = 2 if workers._openblas_threads() is not None else 1
+    calls = []
+
+    def counted(*args, _fn=training.augment, **kwargs):
+        calls.append(1)
+        return _fn(*args, **kwargs)
+    monkeypatch.setattr(training, "augment", counted)
+    net, train = trainer_case(name)
+    train(net, TrainSchedule(batch_size=4, total_iterations=3),
+          augment_cfg=AugmentConfig(scale_range=(1.0, 1.3)))
+    # the calibration pass augments the whole first batch; then the parent
+    # resamples only its share of each batch, the worker's share in the worker
+    assert len(calls) == 4 + 3 * len(range(0, 4, shares))
 
 
 def test_convs_see_the_benchmark_shapes():

@@ -1,5 +1,6 @@
 import hashlib
 import itertools
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -147,7 +148,8 @@ class TestAdCost:
         for d in range(min(d_max, 20)):
             ref[:, d:, d] = np.abs(ldata[:, d:] - rdata[:, :20 - d]).sum(axis=2)
         costs = ad_cost(left, right, d_max=d_max).costs
-        assert costs.flags.c_contiguous
+        # disparity-major memory, (H, D, W), under the (H, W, D) view
+        assert costs.transpose(0, 2, 1).flags.c_contiguous
         assert costs.tobytes() == ref.tobytes()
 
 
@@ -217,6 +219,28 @@ class TestAggregate:
                 got = sgm_aggregate(cv, params).costs
                 want = sgm_reference.sgm_aggregate(cv, params).costs
                 assert got.tobytes() == want.tobytes(), ((h, w), d_max, p1, p2)
+
+    @pytest.mark.parametrize("shape", [(1, 1), (1, 9), (9, 1), (7, 20)])
+    @pytest.mark.parametrize("d_max", [1, 5])
+    def test_any_memory_order_gives_the_same_bytes(self, shape, d_max):
+        rng = np.random.default_rng(shape[0] * 100 + shape[1] * 10 + d_max)
+        costs = np.where(rng.random(shape + (d_max,)) < 0.5,
+                         rng.integers(0, 4, shape + (d_max,)) * 0.25,
+                         rng.random(shape + (d_max,)))
+        big = np.zeros((2 * shape[0], 3 * shape[1], 2 * d_max))
+        big[::2, ::3, ::2] = costs
+        layouts = {
+            "C": costs,
+            "ad_cost": np.ascontiguousarray(costs.transpose(0, 2, 1)).transpose(0, 2, 1),
+            "Fortran": np.asfortranarray(costs),
+            "strided": big[::2, ::3, ::2],
+        }
+        params = SgmParams(p1=0.1, p2=0.4, d_max=d_max)
+        want = sgm_reference.sgm_aggregate(CostVolume(costs), params).costs.tobytes()
+        for name, layout in layouts.items():
+            assert np.array_equal(layout, costs)
+            got = sgm_aggregate(CostVolume(layout), params).costs
+            assert got.tobytes() == want, name
 
     def test_dmax_mismatch(self):
         cv = CostVolume(np.zeros((2, 2, 3)))
@@ -374,6 +398,25 @@ class TestMatchPairBytes:
             "b2c8ef078c2d15364c4edd0bfe448f120ceafd65f99ec85ccef482454c033581")
         assert hashlib.sha256(disp.mask.tobytes()).hexdigest() == (
             "111ce3c2a38d83a2e4706bde4abddd509d7f8248116c6832b06745bdc349e09f")
+
+
+class TestMatchPairMemory:
+    def test_peak_holds_at_most_three_cost_volumes(self):
+        # the costs, the aggregated total and the E/W column copy; the slack
+        # covers the images, the scan-line buffers and one block of columns
+        width, height, d_max = 256, 48, 32
+        spec = SynthSceneSpec(width, height, layer_disparities=(2, 9, 20),
+                              texture_density=1.0, d_max=d_max, seed=4)
+        left, right, _ = generate_stereogram(spec)
+        volume = width * height * d_max * 8
+        tracemalloc.start()
+        try:
+            match_pair(left, right, SgmParams.defaults(d_max=d_max),
+                       bilsub_params=BilSubParams(radius=2), median_radius=1)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak <= 3.5 * volume, f"peak {peak / volume:.2f} cost volumes"
 
 
 class TestPlantedRecovery:
