@@ -217,10 +217,14 @@ class ChannelNorm:
     that happens to be near-constant in the calibration batch cannot turn
     the layer into a huge amplifier for later batches. Forward applies one
     per-channel scale gamma / sigma and shift beta - mu * gamma / sigma;
-    backward recomputes the centered input from the cached x.
+    backward recomputes the centered input from the cached x. While gather
+    is set, an uncalibrated forward calls gather(x) in place of calibrate(x),
+    so a process that holds only some of the batch can calibrate on all of
+    it (see training.py).
     """
 
     MIN_SIGMA = 0.05
+    gather = None
 
     def __init__(self, channels):
         self.channels = channels
@@ -243,7 +247,7 @@ class ChannelNorm:
         if x.shape[1] != self.channels:
             raise ValueError(f"norm expects {self.channels} channels, got {x.shape[1]}")
         if not self.calibrated:
-            self.calibrate(x)
+            (self.gather or self.calibrate)(x)
         scale = self.gamma.values / self.sigma
         shift = self.beta.values - self.mu * scale
         self._cache = x

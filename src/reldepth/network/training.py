@@ -25,8 +25,16 @@ wherever it is computed, and checkpoints and logs do not depend on the core
 count. A sample whose draw, forward pass or loss raises ValueError comes back
 as the error's text, and the loop raises the first in sample order, so
 errors do not depend on it either.
+
+Norms not yet calibrated (a fresh net, a new head) take their statistics
+from the whole first batch after the fork: each share forwards its own
+samples, and the loop gathers each such norm's inputs in sample order into
+the channel-major buffer a whole-batch forward would give it. Convs run one
+GEMM per image and other layers work element by element, so the statistics
+have the bytes of a whole-batch pass, which no process runs.
 """
 
+import functools
 import os
 from dataclasses import dataclass
 
@@ -166,7 +174,7 @@ def _sgd_loop(net: DepthNet, dataset, schedule: TrainSchedule, seed, sample_loss
         return []
     params = [t for _, t in net.named_params()]
 
-    def draw(iteration, k=0, shares=1):
+    def draw(iteration, k, shares):
         """Samples k, k + shares, ... of the iteration's batch. Every
         sample's augmentation is drawn, in sample order, so the draws do not
         depend on the share; only the share's own samples are resampled. The
@@ -210,14 +218,51 @@ def _sgd_loop(net: DepthNet, dataset, schedule: TrainSchedule, seed, sample_loss
                 outcomes.append(str(exc))
         return outcomes
 
+    uncalibrated = [norm for _, norm in net.named_norms() if not norm.calibrated]
+
+    def calibration_pass(k, gather):
+        """If a norm is not yet calibrated (a fresh net, a new head), forward
+        samples k, k + shares, ... of the first batch, each such norm
+        calling gather(norm, x) on its input x from those samples."""
+        if not uncalibrated:
+            return
+        for norm in uncalibrated:
+            norm.gather = functools.partial(gather, norm)
+        try:
+            net.forward(stack_images([image for image, _ in draw(iterations[0], k, shares)]))
+        finally:
+            for norm in uncalibrated:
+                del norm.gather
+
+    def gather_batch(norm, x):
+        """Calibrate norm on every share's x, sample n at index n of the N
+        axis of a (C, N, H, W) buffer, and send the workers its statistics.
+        A worker's error text raises here."""
+        whole = np.empty((x.shape[1], schedule.batch_size, *x.shape[2:]))
+        whole[:, 0::shares] = x.transpose(1, 0, 2, 3)
+        for k, worker in enumerate(workers, 1):
+            part = worker.recv()
+            if isinstance(part, str):
+                raise ValueError(part)
+            whole[:, k::shares] = part
+        norm.calibrate(whole.transpose(1, 0, 2, 3))
+        for worker in workers:
+            worker.send((norm.mu, norm.sigma))
+
     with one_blas_thread() as pinned:
-        # norms not yet calibrated (a fresh net, a new head) take their
-        # statistics from the first batch as a whole, before any fork
-        if not all(norm.calibrated for _, norm in net.named_norms()):
-            net.forward(stack_images([image for image, _ in draw(iterations[0])]))
         shares = min(len(os.sched_getaffinity(0)), schedule.batch_size) if pinned else 1
 
         def serve(k, conn):
+            def send_share(norm, x):
+                conn.send(x.transpose(1, 0, 2, 3))
+                norm.mu, norm.sigma = conn.recv()
+                norm.calibrated = True
+
+            try:
+                calibration_pass(k, send_share)
+            except ValueError as exc:
+                conn.send(str(exc))  # read by the parent at its next gather
+                return
             while True:
                 try:
                     iteration, values = conn.recv()
@@ -229,6 +274,7 @@ def _sgd_loop(net: DepthNet, dataset, schedule: TrainSchedule, seed, sample_loss
 
         history = []
         with forked(shares - 1, serve, "training worker") as workers:
+            calibration_pass(0, gather_batch)
             for iteration in iterations:
                 for worker in workers:
                     worker.send((iteration, [t.values for t in params]))

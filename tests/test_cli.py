@@ -355,6 +355,56 @@ class TestTrainingProcesses:
         assert not (out / "model.ckpt").exists()
         assert multiprocessing.active_children() == []
 
+    def test_worker_dying_in_the_calibration_pass_fails_the_command(
+            self, tmp_path, capsys, monkeypatch):
+        from reldepth.network import ChannelNorm
+
+        cfg, data, pairs = synth_and_pairs(tmp_path, **FOUR_SAMPLE_BATCHES)
+        parent, real_forward, calls = os.getpid(), ChannelNorm.forward, []
+
+        def forward(norm, x):
+            # a fresh net's worker dies at its third norm, after it has sent
+            # the parent the inputs of the first two
+            if os.getpid() != parent:
+                calls.append(1)
+                if len(calls) == 3:
+                    os._exit(7)
+            return real_forward(norm, x)
+
+        monkeypatch.setattr(ChannelNorm, "forward", forward)
+        see_cpus(monkeypatch, 2)
+        capsys.readouterr()
+        out = tmp_path / "pre"
+        assert run(["pretrain", "--config", cfg, "--data", data, "--pairs", pairs,
+                    "--out", str(out)]) == 2
+        assert capsys.readouterr().err == "error: training worker exited 7\n"
+        assert not (out / "model.ckpt").exists()
+        assert multiprocessing.active_children() == []
+
+    def test_calibration_error_in_a_worker_comes_back_as_text(self, tmp_path, capfd,
+                                                              monkeypatch):
+        from reldepth.network import ChannelNorm
+
+        cfg, data, pairs = synth_and_pairs(tmp_path, **FOUR_SAMPLE_BATCHES)
+        parent, real_forward = os.getpid(), ChannelNorm.forward
+
+        def forward(norm, x):
+            # only the worker's share fails, at its first norm of a fresh net
+            if os.getpid() != parent:
+                raise ValueError("worker share failed")
+            return real_forward(norm, x)
+
+        monkeypatch.setattr(ChannelNorm, "forward", forward)
+        see_cpus(monkeypatch, 2)
+        capfd.readouterr()
+        out = tmp_path / "pre"
+        assert run(["pretrain", "--config", cfg, "--data", data, "--pairs", pairs,
+                    "--out", str(out)]) == 2
+        # no worker traceback on the shared stderr
+        assert capfd.readouterr().err == "error: worker share failed\n"
+        assert not (out / "model.ckpt").exists()
+        assert multiprocessing.active_children() == []
+
     def test_loss_error_in_a_worker_reads_as_in_process(self, tmp_path, capsys, monkeypatch):
         from reldepth.network import training
 
@@ -388,19 +438,21 @@ class TestTrainingProcesses:
         assert multiprocessing.active_children() == []
 
 
-    @pytest.mark.parametrize("wide_scenes,message", [
-        ((0, 1), "input 32x33 not divisible by total stride 8"),
-        ((1,), "images in a batch must share one shape"),
+    @pytest.mark.parametrize("wide_scenes,message,resume", [
+        ((0, 1), "input 32x33 not divisible by total stride 8", True),
+        ((1,), "images in a batch must share one shape", True),
+        ((1,), "images in a batch must share one shape", False),
     ])
     def test_image_size_errors_read_as_in_process(self, tmp_path, capfd, monkeypatch,
-                                                  wide_scenes, message):
+                                                  wide_scenes, message, resume):
         from shutil import copy
 
         from reldepth.cli import load_config
         from reldepth.network import DepthNet, save_checkpoint
 
         # the wide scenes are 33 pixels wide; on calibrated norms every
-        # sample's forward pass runs in its own share
+        # sample's forward pass runs in its own share, on a fresh net the
+        # first batch's calibration pass fails in every share
         cfg, data, pairs = synth_and_pairs(tmp_path, **FOUR_SAMPLE_BATCHES)
         (tmp_path / "wide").mkdir()
         wide = tmp_path / "wide" / "synth"
@@ -416,8 +468,9 @@ class TestTrainingProcesses:
             see_cpus(monkeypatch, cpus)
             capfd.readouterr()
             out = tmp_path / f"pre{cpus}"
+            resumed = ["--resume", str(tmp_path / "calibrated.ckpt")] if resume else []
             assert run(["pretrain", "--config", cfg, "--data", data, "--pairs", pairs,
-                        "--out", str(out), "--resume", str(tmp_path / "calibrated.ckpt")]) == 2
+                        "--out", str(out), *resumed]) == 2
             assert not (out / "model.ckpt").exists()
             errors.append(capfd.readouterr().err)
         # no worker traceback on the shared stderr

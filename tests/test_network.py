@@ -1,7 +1,9 @@
+import copy
 import hashlib
 import json
 import os
 import struct
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -30,6 +32,7 @@ from reldepth.network import (
     predict_relative,
     pretrain_ranking,
     save_checkpoint,
+    stack_images,
 )
 
 TINY = NetConfig(stage_widths=(3, 4, 5), stage_blocks=(1, 1, 1), stage_strides=(1, 2, 2),
@@ -631,20 +634,33 @@ class TestTraining:
         assert sched.lr_at(7) == 0.25
 
 
-def trainer_case(name):
+def trainer_case(name, samples=1):
     """A net that already has the trainer's head, and train(net, schedule,
-    **kwargs) running that trainer on one 32x32 sample."""
-    img, depth = overfit_sample()
+    **kwargs) running that trainer, seed 1, on the 32x32 images of
+    trainer_images(samples)."""
+    images, depth = trainer_images(samples), overfit_sample()[1]
     if name == "ranking":
         pairs = [(0, 0, 20, 20, 1), (8, 8, 28, 2, -1)]
         return tiny_net(), lambda net, sched, **kw: pretrain_ranking(
-            net, [(img, pairs)], sched, seed=1, **kw)
+            net, [(img, pairs) for img in images], sched, seed=1, **kw)
+    dataset = [(img, depth) for img in images]
     if name == "classification":
         scheme, gain = make_bins(2.0, 40.0, 6), info_gain_matrix(6, 2.0)
         return tiny_net("classification", 6), lambda net, sched, **kw: finetune_classification(
-            net, [(img, depth)], scheme, gain, sched, seed=1, **kw)
+            net, dataset, scheme, gain, sched, seed=1, **kw)
     return tiny_net("regression", 1), lambda net, sched, **kw: finetune_regression(
-        net, [(img, depth)], sched, seed=1, **kw)
+        net, dataset, sched, seed=1, **kw)
+
+
+def trainer_images(samples):
+    return [overfit_sample(seed=21 + i)[0] for i in range(samples)]
+
+
+def first_batch(images, batch_size, seed=1):
+    """The images of the first batch a trainer draws, seed given, from a
+    dataset of these images when it does not augment."""
+    rng = np.random.default_rng(np.random.SeedSequence([seed, 0]))
+    return stack_images([images[i] for i in rng.integers(0, len(images), size=batch_size)])
 
 
 TRAINERS = ("ranking", "classification", "regression")
@@ -721,9 +737,59 @@ def test_each_share_resamples_only_its_own_samples(name, monkeypatch):
     net, train = trainer_case(name)
     train(net, TrainSchedule(batch_size=4, total_iterations=3),
           augment_cfg=AugmentConfig(scale_range=(1.0, 1.3)))
-    # the calibration pass augments the whole first batch; then the parent
-    # resamples only its share of each batch, the worker's share in the worker
-    assert len(calls) == 4 + 3 * len(range(0, 4, shares))
+    # in the calibration pass and in each of the 3 iterations the parent
+    # resamples only its share of the batch, the worker's share in the worker
+    assert len(calls) == 4 * len(range(0, 4, shares))
+
+
+@pytest.mark.parametrize("cpus", (1, 2, 3))
+@pytest.mark.parametrize("name", TRAINERS)
+@pytest.mark.parametrize("fresh", (True, False), ids=("fresh", "re-headed"))
+def test_norms_calibrate_as_in_a_whole_batch_forward(name, fresh, cpus, monkeypatch):
+    """The norms a trainer calibrates, every norm of a fresh net or the one
+    feeding a new head, take the bytes of one whole-batch forward's
+    statistics on any core count."""
+    monkeypatch.setattr(os, "sched_getaffinity", lambda pid: set(range(cpus)))
+    net, train = trainer_case(name, samples=3)
+    if not fresh:
+        net.forward(np.random.default_rng(0).random((2, 3, 32, 32)))
+        net.re_head(net.config.head_mode, net.config.head_channels)
+    reference = copy.deepcopy(net)
+    reference.forward(first_batch(trainer_images(3), 4))
+    train(net, TrainSchedule(batch_size=4, total_iterations=1))
+    norms = dict(net.named_norms())
+    assert len(norms) == 8
+    for norm_name, norm in reference.named_norms():
+        assert norms[norm_name].mu.tobytes() == norm.mu.tobytes(), norm_name
+        assert norms[norm_name].sigma.tobytes() == norm.sigma.tobytes(), norm_name
+
+
+def test_no_process_runs_a_whole_batch_pass(monkeypatch):
+    """With a worker per share, calibrating a fresh net holds no more of the
+    batch in the parent than a whole-batch forward of that net would."""
+    from reldepth import workers
+
+    if workers._openblas_threads() is None:
+        pytest.skip("without the BLAS thread setter training runs in one process")
+    monkeypatch.setattr(os, "sched_getaffinity", lambda pid: set(range(2)))
+    # images large and channels few enough that activations outweigh the
+    # per-sample gradient copies the parent holds for each step
+    images = [overfit_sample(seed=21 + i, size=96)[0] for i in range(4)]
+    pairs = [(0, 0, 40, 40, 1), (8, 8, 56, 2, -1)]
+    config = NetConfig(stage_widths=(8, 16, 32), head_widths=(32, 16), seed=1)
+    sched = TrainSchedule(batch_size=4, learning_rate=1e-3, total_iterations=1)
+    peaks = []
+    for run in (lambda: DepthNet(config).forward(first_batch(images, 4)),
+                lambda: pretrain_ranking(DepthNet(config), [(img, pairs) for img in images],
+                                         sched, seed=1)):
+        tracemalloc.start()
+        try:
+            run()
+            peaks.append(tracemalloc.get_traced_memory()[1])
+        finally:
+            tracemalloc.stop()
+    whole_batch_forward, training = peaks
+    assert training < whole_batch_forward
 
 
 def test_convs_see_the_benchmark_shapes():
