@@ -11,6 +11,7 @@ import argparse
 import json
 import os
 import sys
+from contextlib import contextmanager
 from dataclasses import dataclass, fields, replace
 from pathlib import Path
 from typing import get_args, get_origin
@@ -452,7 +453,8 @@ def cmd_stereo(cfg: PipelineConfig, in_dir, out_dir):
         return {"disparity": name}
 
     # each scene is matched on its own, so the scenes are spread over the cores;
-    # pairs stays in-process, its per-scene work being shorter than a fork
+    # pairs stays in-process: a scene takes it about 5-6 ms at 10,000 pairs,
+    # and spreading the scenes over two cores saved 5-14 ms of a 0.5 s pass
     return _scene_loop(in_dir, out_dir, match, "matched",
                        processes=len(os.sched_getaffinity(0)),
                        kind="disparity", d_max=cfg.sgm_params.d_max)
@@ -473,12 +475,6 @@ def cmd_pairs(cfg: PipelineConfig, in_dir, out_dir):
                        kind="pairs", count=cfg.pair_cfg.count)
 
 
-def _log_writer(fh):
-    def write(record):
-        fh.write(json.dumps(record, sort_keys=True) + "\n")
-    return write
-
-
 def _cut_log(path, iteration):
     """Rewrite the training log at path, if there is one, keeping only the
     whole records of iterations before iteration."""
@@ -497,6 +493,36 @@ def _cut_log(path, iteration):
         fh.writelines(kept)
 
 
+@contextmanager
+def _log_writer(path, start_iteration):
+    """Yield a log_fn that writes each record as a JSON line to the training
+    log at path. The log is opened at the first record, or when the block
+    ends if it wrote none: restarted when start_iteration is 0, else cut
+    back to the records before start_iteration and appended to. So a block
+    that raises before its first record leaves the log as it was."""
+    fh = None
+
+    def write(record):
+        nonlocal fh
+        if fh is None:
+            fh = _open_log(path, start_iteration)
+        fh.write(json.dumps(record, sort_keys=True) + "\n")
+    try:
+        yield write
+        if fh is None:
+            fh = _open_log(path, start_iteration)
+    finally:
+        if fh is not None:
+            fh.close()
+
+
+def _open_log(path, start_iteration):
+    if start_iteration == 0:
+        return open(path, "w")
+    _cut_log(path, start_iteration)
+    return open(path, "a")
+
+
 def _train_stage(cfg: PipelineConfig, stage, out_dir, resume, continues, trainer, *args,
                  **kwargs):
     """Run trainer(net, *args, schedule, ...) for one stage ("pretrain" or
@@ -505,7 +531,8 @@ def _train_stage(cfg: PipelineConfig, stage, out_dir, resume, continues, trainer
     at its iteration and <stage>_log.jsonl is appended to, not restarted,
     once it is cut back to the records before that iteration: a run that
     died after logging past its checkpoint leaves no duplicate or partial
-    line."""
+    line. A stage that fails before its first record leaves the log and the
+    checkpoint as they were (see _log_writer)."""
     net, iteration = (DepthNet(cfg.net), 0) if resume is None else load_checkpoint(resume)
     for field in RESUME_FIELDS:
         have, want = getattr(net.config, field), getattr(cfg.net, field)
@@ -516,11 +543,8 @@ def _train_stage(cfg: PipelineConfig, stage, out_dir, resume, continues, trainer
     start_iteration = iteration if continues(net) else 0
     schedule = getattr(cfg, stage)
     log = out / f"{stage}_log.jsonl"
-    if start_iteration:
-        _cut_log(log, start_iteration)
-    with open(log, "w" if start_iteration == 0 else "a") as fh:
-        trainer(net, *args, schedule, log_fn=_log_writer(fh),
-                start_iteration=start_iteration, **kwargs)
+    with _log_writer(log, start_iteration) as write:
+        trainer(net, *args, schedule, log_fn=write, start_iteration=start_iteration, **kwargs)
     ckpt = out / "model.ckpt"
     save_checkpoint(net, ckpt, iteration=max(start_iteration, schedule.total_iterations))
     return ckpt
@@ -570,6 +594,8 @@ def cmd_eval(cfg: PipelineConfig, data_dir, out_dir, ckpt=None, pred_dir=None):
     if (ckpt is None) == (pred_dir is None):
         raise ValueError("exactly one of --ckpt / --pred is required")
     scenes = _read_scenes(data_dir)
+    if not scenes:
+        raise ValueError(f"no scenes to evaluate under {data_dir}")
     net = None
     if ckpt is not None:
         net, _ = load_checkpoint(ckpt)

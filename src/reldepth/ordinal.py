@@ -10,6 +10,7 @@ A pair set is a (K, 5) int64 array with one row row_i, col_i, row_j, col_j, r
 per pair, the layout of the pair CSV. Every stage works on the whole array.
 """
 
+import io
 from collections import namedtuple
 from dataclasses import dataclass
 from itertools import compress
@@ -170,14 +171,29 @@ def whdr(pred: DepthMap, pairs, pred_threshold=0.0):
 
 
 def save_pairs_csv(pairs, path):
-    """One pair per line: row_i,col_i,row_j,col_j,r (integer fields), with
-    the csv module's \\r\\n line ends."""
+    """One pair per line: row_i,col_i,row_j,col_j,r as "%d,%d,%d,%d,%d\\r\\n".
+
+    When the coordinates span no more values than there are rows, each
+    field's text is looked up in a table of every value's text in that span,
+    and r's in a table of its three; the bytes are the same either way."""
     rows = pair_rows(pairs)
+    lo, hi = (int(rows[:, :4].min()), int(rows[:, :4].max())) if len(rows) else (0, 0)
+    if hi - lo < len(rows):
+        table = np.array([f"{v}," for v in range(lo, hi + 1)] + _R_TEXT, dtype=object)
+        index = rows - lo
+        index[:, 4] = rows[:, 4] - FARTHER + (hi - lo + 1)
+        text = "".join(table[index].ravel().tolist())
+    else:
+        text = ("%d,%d,%d,%d,%d\r\n" * len(rows)) % tuple(rows.ravel().tolist())
     with _atomic_write(path, "w") as fh:
-        fh.write(("%d,%d,%d,%d,%d\r\n" * len(rows)) % tuple(rows.ravel().tolist()))
+        fh.write(text)
 
 
+# each relation's text, in value order from FARTHER
+_R_TEXT = ["-1\r\n", "0\r\n", "1\r\n"]
 _INT_FIELDS = {"delimiter": ",", "dtype": np.int64, "comments": None, "ndmin": 2}
+# the bytes a file the writer made can hold
+_WRITER_BYTES = b"0123456789,-\r\n"
 
 
 def _five_ints(line):
@@ -190,9 +206,21 @@ def _five_ints(line):
 def load_pairs_csv(path):
     """The PairSet a pair CSV holds. Blank lines are skipped; any other line
     that is not five integer fields forming a pair is an error naming
-    path:line."""
-    with open(path, newline="") as fh:
-        lines = fh.read().splitlines()
+    path:line.
+
+    A file of nothing but digits, commas, minus signs and line ends is
+    parsed whole in one loadtxt call; one that fails that parse or its
+    checks, and any other file, is read line by line for the same rows or
+    the same error."""
+    with open(path, "rb") as fh:
+        data = fh.read()
+    if data.strip(b"\r\n") and not data.translate(None, _WRITER_BYTES):
+        try:
+            return PairSet(np.loadtxt(data.decode("ascii").splitlines(), **_INT_FIELDS))
+        except (ValueError, OverflowError):
+            pass
+    # decoded as open(path, newline="") would
+    lines = io.TextIOWrapper(io.BytesIO(data), newline="").read().splitlines()
     nonblank = np.fromiter(map(bool, lines), bool, len(lines))
     linenos = np.flatnonzero(nonblank) + 1
     lines = list(compress(lines, nonblank))

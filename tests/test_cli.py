@@ -654,7 +654,14 @@ class TestTrainEvalCommands:
         assert run(["eval", "--config", cfg, "--data", d["synth"],
                     "--out", d["eval"]]) == 2
 
-    def test_whdr_with_no_scenes_is_runtime_failure(self, tmp_path, capsys):
+    @pytest.mark.parametrize("command, message, output", [
+        ("whdr", "no scenes to score under", "whdr.json"),
+        ("eval", "no scenes to evaluate under", "metrics.json"),
+        ("pretrain", "dataset is empty", "model.ckpt"),
+        ("finetune", "dataset is empty", "model.ckpt"),
+    ], ids=["whdr", "eval", "pretrain", "finetune"])
+    def test_whdr_with_no_scenes_is_runtime_failure(self, tmp_path, capsys, command, message,
+                                                    output):
         from reldepth.cli import load_config
         from reldepth.network import DepthNet, save_checkpoint
 
@@ -665,10 +672,41 @@ class TestTrainEvalCommands:
                     "--out", str(pair_dir)]) == 0
         ckpt = tmp_path / "model.ckpt"
         save_checkpoint(DepthNet(load_config(cfg).net), ckpt, iteration=0)
-        assert run(["whdr", "--config", cfg, "--data", str(synth_dir), "--pairs",
-                    str(pair_dir), "--ckpt", str(ckpt), "--out", str(out)]) == 2
-        assert "no scenes to score" in capsys.readouterr().err
-        assert not (out / "whdr.json").exists()
+        flags = {"whdr": ["--pairs", str(pair_dir), "--ckpt", str(ckpt)],
+                 "eval": ["--ckpt", str(ckpt)], "pretrain": ["--pairs", str(pair_dir)],
+                 "finetune": []}[command]
+        capsys.readouterr()
+        assert run([command, "--config", cfg, "--data", str(synth_dir), *flags,
+                    "--out", str(out)]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("error: ") and message in err
+        if command in ("whdr", "eval"):
+            assert str(synth_dir) in err
+        assert not (out / output).exists()
+
+    @pytest.mark.parametrize("command, case, message", [
+        ("pretrain", "no scenes", "dataset is empty"),
+        ("finetune", "no scenes", "dataset is empty"),
+        ("pretrain", "pairs in one cell", "sample 0 has no pairs left at grid resolution"),
+    ], ids=["pretrain-no-scenes", "finetune-no-scenes", "pretrain-pairs-in-one-cell"])
+    def test_stage_failing_in_its_set_up_leaves_the_out_dir(self, tmp_path, capsys, command,
+                                                            case, message):
+        cfg, data, pairs = synth_and_pairs(tmp_path)
+        inputs = ["--pairs", pairs] if command == "pretrain" else []
+        out = tmp_path / "out"
+        assert run([command, "--config", cfg, "--data", data, *inputs, "--out", str(out)]) == 0
+        files = [out / "model.ckpt", out / f"{command}_log.jsonl"]
+        before = [path.read_bytes() for path in files]
+        assert all(before)
+        if case == "no scenes":
+            for directory in (data, pairs):
+                (Path(directory) / "manifest.json").write_text('{"scenes": []}')
+        else:  # both ends of every pair fall in one cell of the net's output grid
+            (Path(pairs) / "pairs_000.csv").write_text("0,0,1,1,1\r\n1,0,0,1,-1\r\n")
+        capsys.readouterr()
+        assert run([command, "--config", cfg, "--data", data, *inputs, "--out", str(out)]) == 2
+        assert capsys.readouterr().err == f"error: {message}\n"
+        assert [path.read_bytes() for path in files] == before
 
     @pytest.mark.parametrize("case, message", [
         ("missing-flag", "calibration flags do not match"),

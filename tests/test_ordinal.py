@@ -193,6 +193,12 @@ class TestCsv:
         ("0,1,2,3,1\n0,1,x,3,1\n", 2, "expected 5 integer fields, got '0,1,x,3,1'"),
         ("0,1,2,3,1\n0,1,2.5,3,1\n", 2, "expected 5 integer fields, got '0,1,2.5,3,1'"),
         ("\n\n0,1,2,3,1\n\n0,1,2,3,-2\n", 5, "relation must be -1, 0 or +1, got -2"),
+        # \x0b and \x0c end a line for str.splitlines, so the row is cut there
+        ("0\x0b,1,2,3,1\n", 1, "expected 5 integer fields, got '0'"),
+        ("0,1,2,3\x0c,1\r\n", 1, "expected 5 integer fields, got '0,1,2,3'"),
+        ("0,1,2,3,1\r\n-,5,6,7,-1\r\n", 2, "expected 5 integer fields, got '-,5,6,7,-1'"),
+        ("0,1,2,3,1\r\n9223372036854775808,1,2,3,1\r\n", 2,
+         "expected 5 integer fields, got '9223372036854775808,1,2,3,1'"),
     ])
     def test_bad_row_names_its_line(self, tmp_path, text, line, message):
         path = tmp_path / "bad.csv"
@@ -204,6 +210,11 @@ class TestCsv:
         b"\n0,1,2,3,1\n\n\n4,5,6,7,-1\n\n",
         b"\r\n0,1,2,3,1\r\n\r\n4,5,6,7,-1\r\n",
         b" 0, 1,2,3,+1\n4,5,6,7,-1",
+        b"0,1,2,3,1\r\n4,5,6,7,-1\r\n",  # as the writer makes it
+        b"0,1,2,3,1\r\n\r\n\r\n4,5,6,7,-1\r\n\r\n",
+        b"0,1,2,3,1\r4,5,6,7,-1\r",
+        b"0,1,2,3,1\r\n4,5,6,7,-1",
+        b"0,1,2,3,1\r\n4,5,6,7,-1\x0b",
     ])
     def test_blank_lines_skipped(self, tmp_path, text):
         path = tmp_path / "pairs.csv"
@@ -214,6 +225,8 @@ class TestCsv:
         path = tmp_path / "pairs.csv"
         save_pairs_csv([], path)
         assert path.read_bytes() == b""
+        assert np.asarray(load_pairs_csv(path)).shape == (0, 5)
+        path.write_bytes(b"\r\n\n\r")
         assert np.asarray(load_pairs_csv(path)).shape == (0, 5)
 
 
@@ -296,3 +309,30 @@ def test_pair_stages_match_the_loops(seed, tmp_path):
     save_pairs_csv(pairs, path)
     assert path.read_bytes() == loops.pairs_csv_bytes(want)
     assert np.array_equal(load_pairs_csv(path), want)
+
+
+INT64_MIN, INT64_MAX = np.iinfo(np.int64).min, np.iinfo(np.int64).max
+
+
+# the writer formats from a table of the coordinates' texts when they span no
+# more values than there are rows, and with % otherwise: cases on both sides
+@pytest.mark.parametrize("rows", [
+    [(0, 1, 2, 3, 1)],
+    [(5, 5, 5, 6, 0)],
+    [(0, 0, 1000, 5, 1), (3, 4, 5, 6, 0)],
+    [(0, 1, 1, 0, -1), (1, 1, 0, 0, 0)],
+    [(0, 1, 2, 1, -1), (2, 2, 1, 0, 0)],
+    [(-1, 0, 0, -1, -1), (0, 0, -1, -1, 1), (-1, -1, 0, 0, 0)],
+    [(-7, 0, 3, -2, 1), (12, -40, 0, 0, -1)],
+    [(INT64_MIN, INT64_MIN + 1, INT64_MIN + 1, INT64_MIN, 1),
+     (INT64_MIN + 1, INT64_MIN, INT64_MIN, INT64_MIN, -1)],
+    [(INT64_MAX, INT64_MAX - 1, INT64_MAX - 1, INT64_MAX, 0),
+     (INT64_MAX, INT64_MAX, INT64_MAX - 1, INT64_MAX - 1, 1)],
+    [(INT64_MIN, INT64_MAX, 0, 0, 1), (INT64_MAX, 0, INT64_MIN, -1, -1)],
+], ids=["one-row", "one-row-span-2", "wide", "span-equals-rows", "span-past-rows",
+        "negative", "negative-wide", "int64-min", "int64-max", "int64-both"])
+def test_csv_bytes_match_the_loop(rows, tmp_path):
+    path = tmp_path / "pairs.csv"
+    save_pairs_csv(rows, path)
+    assert path.read_bytes() == loops.pairs_csv_bytes(rows)
+    assert np.array_equal(load_pairs_csv(path), rows)
