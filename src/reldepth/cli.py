@@ -14,6 +14,7 @@ import sys
 from contextlib import contextmanager
 from dataclasses import dataclass, fields, replace
 from pathlib import Path
+from types import NoneType, UnionType
 from typing import get_args, get_origin
 
 import numpy as np
@@ -88,6 +89,46 @@ class SynthConfig:
 
 
 @dataclass
+class StageConfig(TrainSchedule):
+    clip_norm: float | None = None
+    pair_mean: bool = False
+
+    def __post_init__(self):
+        super().__post_init__()
+        if self.clip_norm is not None and self.clip_norm <= 0:
+            raise ValueError(f"clip_norm must be a positive number, got {self.clip_norm!r}")
+        self.clip_norm = None if self.clip_norm is None else float(self.clip_norm)
+
+
+@dataclass
+class BinsConfig:
+    d_min: float = 2.0
+    d_max: float = 40.0
+    B: int = 16
+    alpha: float = 2.0
+    focal_baseline: float = 32.0
+
+    def __post_init__(self):
+        self.scheme = make_bins(self.d_min, self.d_max, self.B)
+        self.gain = info_gain_matrix(self.scheme.bins, self.alpha)
+        self.focal_baseline = float(self.focal_baseline)
+        if self.focal_baseline <= 0:
+            raise ValueError("focal_baseline must be positive")
+
+
+@dataclass
+class EvalConfig:
+    strict_pairs_only: bool = True
+    pred_threshold: float = 0.0
+
+    def __post_init__(self):
+        if self.pred_threshold < 0:
+            raise ValueError(
+                f"pred_threshold must be a non-negative number, got {self.pred_threshold!r}")
+        self.pred_threshold = float(self.pred_threshold)
+
+
+@dataclass
 class PipelineConfig:
     seed: int
     synth: SynthConfig
@@ -99,8 +140,8 @@ class PipelineConfig:
     gain: InfoGainMatrix
     focal_baseline: float
     net: NetConfig
-    pretrain: TrainSchedule
-    finetune: TrainSchedule
+    pretrain: StageConfig
+    finetune: StageConfig
     augment_cfg: AugmentConfig | None
     pretrain_pair_mean: bool
     pretrain_clip_norm: float | None
@@ -126,69 +167,60 @@ def _reject_unknown(keys, name, known=()):
         raise ConfigError(f"{name}: unknown key {unknown[0]!r}")
 
 
-# the JSON values a number of each type takes; a JSON boolean is neither
-JSON_NUMBERS = {int: (int,), float: (int, float)}
+# the JSON values a field of each type takes and their name; a boolean is no number
+JSON_TYPES = {bool: ((bool,), "true or false"), int: ((int,), "an integer"),
+              float: ((int, float), "a number")}
 
 
-def _number_type(annotation):
-    """int or float when every number a field with the type annotation holds,
-    through nested tuples, has that type; otherwise None."""
-    if annotation in JSON_NUMBERS:
+def _value_type(annotation):
+    """bool, int or float when every value a field with the type annotation
+    holds, through nested tuples and past an X | None, has that type;
+    otherwise None."""
+    if annotation in JSON_TYPES:
         return annotation
+    types = {_value_type(arg) for arg in get_args(annotation) if arg not in (Ellipsis, NoneType)}
+    return types.pop() if get_origin(annotation) in (tuple, UnionType) and len(types) == 1 else None
+
+
+def _holds_only(value, annotation, types):
+    """Whether value is a list wherever the type annotation is a tuple, and
+    every other value in it null where the annotation is an X | None or else
+    of one of the types exactly."""
     if get_origin(annotation) is tuple:
-        types = {_number_type(arg) for arg in get_args(annotation) if arg is not Ellipsis}
-        return types.pop() if len(types) == 1 else None
-    return None
+        return isinstance(value, (list, tuple)) and all(
+            _holds_only(entry, get_args(annotation)[0], types) for entry in value)
+    return type(value) in types or value is None and NoneType in get_args(annotation)
 
 
-def _holds_only(value, types):
-    """Whether value, or each entry of it through nested lists, has one of the
-    types exactly."""
-    if isinstance(value, (list, tuple)):
-        return all(_holds_only(entry, types) for entry in value)
-    return type(value) in types
-
-
-def _build(name, base, sec, fixed=()):
+def _build(name, base, sec, fixed=(), switch=False):
     """The dataclass instance base with the section's keys replacing its
     fields. Each key must name a field other than the fixed ones, which the
-    code sets. A field typed int takes only a JSON integer and a field typed
-    float any JSON number but a boolean, and each entry of a tuple of them
-    the same; a bad key or value is a config error of the named section."""
-    types = {f.name: f.type for f in fields(base)}
-    _reject_unknown(sec, name, set(types) - set(fixed))
+    code sets. A field typed bool takes only a JSON boolean, int only a JSON
+    integer and float any JSON number but a boolean; each entry of a tuple of
+    them the same, and an X | None field also null. A switch section also
+    takes "enabled", a boolean that is true by default, and is None when it is
+    false. A bad key or value is a config error of the named section."""
+    types = {f.name: f.type for f in fields(base) if f.name not in fixed}
+    if switch:
+        types["enabled"] = bool
+    _reject_unknown(sec, name, types)
     for key, value in sec.items():
-        number = _number_type(types[key])
-        if number and not _holds_only(value, JSON_NUMBERS[number]):
-            what = "an integer" if number is int else "a number"
-            each = "every value in " if isinstance(value, (list, tuple)) else ""
-            raise ConfigError(f"{name}: {each}{key} must be {what}, got {value!r}")
+        kind = _value_type(types[key])
+        if kind and not _holds_only(value, types[key], JSON_TYPES[kind][0]):
+            each = "every value in " if get_origin(types[key]) is tuple else ""
+            raise ConfigError(f"{name}: {each}{key} must be {JSON_TYPES[kind][1]}, got {value!r}")
+    enabled = sec.pop("enabled", True)
     try:
-        return replace(base, **sec)
+        built = replace(base, **sec)
     except (TypeError, ValueError) as exc:
         raise ConfigError(f"{name}: {exc}") from None
-
-
-def _flag(sec, name, key, default):
-    value = sec.pop(key, default)
-    if not isinstance(value, bool):
-        raise ConfigError(f"{name}: {key} must be true or false, got {value!r}")
-    return value
+    return built if enabled else None
 
 
 def _non_negative_int(value, what):
     if isinstance(value, bool) or not isinstance(value, int) or value < 0:
         raise ConfigError(f"{what} must be a non-negative integer, got {value!r}")
     return value
-
-
-def _clip_norm(sec, name):
-    value = sec.pop("clip_norm", None)
-    if value is None:
-        return None
-    if isinstance(value, bool) or not isinstance(value, (int, float)) or value <= 0:
-        raise ConfigError(f"{name}: clip_norm must be a positive number, got {value!r}")
-    return float(value)
 
 
 def _non_finite(constant):
@@ -220,9 +252,8 @@ def load_config(path, seed_override=None) -> PipelineConfig:
     synth = _build("synth", SynthConfig(), _section(raw, "synth"))
 
     sgm_sec = _section(raw, "sgm")
-    bilsub_sec = _section(sgm_sec, "sgm.bilsub", {"enabled": False})
-    bilsub_enabled = _flag(bilsub_sec, "sgm.bilsub", "enabled", True)
-    bilsub = _build("sgm.bilsub", stereo.BilSubParams(), bilsub_sec)
+    bilsub = _build("sgm.bilsub", stereo.BilSubParams(),
+                    _section(sgm_sec, "sgm.bilsub", {"enabled": False}), switch=True)
     median_radius = _non_negative_int(sgm_sec.pop("median_radius", 1), "sgm: median_radius")
     directions = sgm_sec.get("directions")
     if isinstance(directions, str):
@@ -239,57 +270,28 @@ def load_config(path, seed_override=None) -> PipelineConfig:
 
     pair_cfg = _build("pairs", PairSampleConfig(seed=seed), _section(raw, "pairs"),
                       fixed=("seed",))
-
-    bins_sec = _section(raw, "bins")
-    try:
-        scheme = make_bins(bins_sec.pop("d_min", 2.0), bins_sec.pop("d_max", 40.0),
-                           bins_sec.pop("B", 16))
-        gain = info_gain_matrix(scheme.bins, bins_sec.pop("alpha", 2.0))
-        focal_baseline = float(bins_sec.pop("focal_baseline", 32.0))
-        if focal_baseline <= 0:
-            raise ValueError("focal_baseline must be positive")
-    except (TypeError, ValueError) as exc:
-        raise ConfigError(f"bins: {exc}") from None
-    _reject_unknown(bins_sec, "bins")
+    bins = _build("bins", BinsConfig(), _section(raw, "bins"))
 
     train_sec = _section(raw, "train")
-    net_sec = _section(train_sec, "train.net", {})
-    if "seed" in net_sec:
-        _non_negative_int(net_sec["seed"], "train.net: seed")
-    net = _build("train.net", NetConfig(seed=seed), net_sec,
+    net = _build("train.net", NetConfig(seed=seed), _section(train_sec, "train.net", {}),
                  fixed=("in_channels", "head_mode", "head_channels"))
-    pretrain_sec = _section(train_sec, "train.pretrain", {})
-    pretrain_pair_mean = _flag(pretrain_sec, "train.pretrain", "pair_mean", False)
-    pretrain_clip = _clip_norm(pretrain_sec, "train.pretrain")
-    pretrain = _build("train.pretrain", TrainSchedule(), pretrain_sec)
+    pretrain = _build("train.pretrain", StageConfig(), _section(train_sec, "train.pretrain", {}))
     finetune_sec = _section(train_sec, "train.finetune", {})
-    finetune_clip = _clip_norm(finetune_sec, "train.finetune")
-    aug_sec = _section(finetune_sec, "train.finetune.augment", {"enabled": False})
-    augment_enabled = _flag(aug_sec, "train.finetune.augment", "enabled", True)
-    augment_cfg = _build("train.finetune.augment", AugmentConfig(), aug_sec)
-    finetune = _build("train.finetune", TrainSchedule(), finetune_sec)
+    augment_cfg = _build("train.finetune.augment", AugmentConfig(),
+                         _section(finetune_sec, "train.finetune.augment", {"enabled": False}),
+                         switch=True)
+    finetune = _build("train.finetune", StageConfig(), finetune_sec, fixed=("pair_mean",))
     _reject_unknown(train_sec, "train")
-
-    eval_sec = _section(raw, "eval", {})
-    strict_pairs_only = _flag(eval_sec, "eval", "strict_pairs_only", True)
-    pred_threshold = eval_sec.pop("pred_threshold", 0.0)
-    if (isinstance(pred_threshold, bool) or not isinstance(pred_threshold, (int, float))
-            or not pred_threshold >= 0):
-        raise ConfigError(
-            f"eval: pred_threshold must be a non-negative number, got {pred_threshold!r}"
-        )
-    _reject_unknown(eval_sec, "eval")
+    evaluation = _build("eval", EvalConfig(), _section(raw, "eval", {}))
     _reject_unknown(raw, "config")
 
     return PipelineConfig(
-        seed=seed, synth=synth, sgm_params=sgm_params,
-        bilsub=bilsub if bilsub_enabled else None,
-        median_radius=median_radius, pair_cfg=pair_cfg, scheme=scheme, gain=gain,
-        focal_baseline=focal_baseline, net=net, pretrain=pretrain,
-        finetune=finetune, augment_cfg=augment_cfg if augment_enabled else None,
-        pretrain_pair_mean=pretrain_pair_mean,
-        pretrain_clip_norm=pretrain_clip, finetune_clip_norm=finetune_clip,
-        strict_pairs_only=strict_pairs_only, pred_threshold=float(pred_threshold),
+        seed=seed, synth=synth, sgm_params=sgm_params, bilsub=bilsub,
+        median_radius=median_radius, pair_cfg=pair_cfg, scheme=bins.scheme, gain=bins.gain,
+        focal_baseline=bins.focal_baseline, net=net, pretrain=pretrain,
+        finetune=finetune, augment_cfg=augment_cfg, pretrain_pair_mean=pretrain.pair_mean,
+        pretrain_clip_norm=pretrain.clip_norm, finetune_clip_norm=finetune.clip_norm,
+        strict_pairs_only=evaluation.strict_pairs_only, pred_threshold=evaluation.pred_threshold,
     )
 
 

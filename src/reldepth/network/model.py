@@ -54,6 +54,16 @@ class NetConfig:
         self.head_widths = tuple(int(w) for w in self.head_widths)
         if not (len(self.stage_widths) == len(self.stage_blocks) == len(self.stage_strides)):
             raise ValueError("stage widths, blocks and strides must align")
+        if not self.stage_widths:
+            raise ValueError("the net needs at least one stage")
+        # a zero block count would skip a stage's stride, so total_stride
+        # would no longer match the output grid
+        for name in ("stage_widths", "stage_blocks", "stage_strides", "head_widths"):
+            values = getattr(self, name)
+            if any(v < 1 for v in values):
+                raise ValueError(f"every value in {name} must be >= 1, got {values}")
+        if self.seed < 0:
+            raise ValueError(f"seed must be >= 0, got {self.seed}")
         if self.head_mode not in HEAD_MODES:
             raise ValueError(f"unknown head mode {self.head_mode!r}")
         if self.head_mode == CLASSIFICATION:

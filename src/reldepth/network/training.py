@@ -69,6 +69,8 @@ class TrainSchedule:
             raise ValueError("decay iterations must be strictly increasing")
         if self.decay_iterations and self.decay_iterations[-1] >= self.total_iterations:
             raise ValueError("decay iterations must precede the end of training")
+        if self.decay_factor < 0:
+            raise ValueError("decay factor must be >= 0")
 
     def lr_at(self, iteration):
         lr = self.learning_rate

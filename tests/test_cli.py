@@ -516,7 +516,8 @@ class TestConfigValidation:
                            ("eval.strict_pairs_only", "no"),
                            ("eval.pred_threshold", "0.5"),
                            ("eval.pred_threshold", True),
-                           ("eval.pred_threshold", -0.1)):
+                           ("eval.pred_threshold", -0.1),
+                           ("train.pretrain.decay_factor", -1.0)):
             assert_config_rejected(write_config(tmp_path, **{key: value}), tmp_path, capsys)
 
     @pytest.mark.parametrize("key, value, message", [
@@ -545,10 +546,50 @@ class TestConfigValidation:
         ("train.pretrain.learning_rate", True,
          "train.pretrain: learning_rate must be a number, got True"),
         ("pairs.eq_threshold", True, "pairs: eq_threshold must be a number, got True"),
+        # bins and eval are dataclass sections like the others
+        ("bins.focal_baseline", "32", "bins: focal_baseline must be a number, got '32'"),
+        ("bins.d_min", True, "bins: d_min must be a number, got True"),
+        ("bins.alpha", True, "bins: alpha must be a number, got True"),
+        ("eval.strict_pairs_only", 1, "eval: strict_pairs_only must be true or false, got 1"),
+        # a list is no number, and a switch no list
+        ("train.pretrain.decay_factor", [0.5],
+         "train.pretrain: decay_factor must be a number, got [0.5]"),
+        ("sgm.bilsub.enabled", [], "sgm.bilsub: enabled must be true or false, got []"),
     ])
     def test_bad_value_rejected_by_name(self, tmp_path, capsys, key, value, message):
         err = assert_config_rejected(write_config(tmp_path, **{key: value}), tmp_path, capsys)
         assert message in err
+
+    def test_numbers_load_as_floats_and_clip_norm_takes_null(self, tmp_path):
+        from reldepth.cli import load_config
+
+        cfg = load_config(write_config(tmp_path, **{
+            "train.pretrain.clip_norm": None, "train.finetune.clip_norm": 5,
+            "bins.focal_baseline": 32, "eval.pred_threshold": 0}))
+        assert cfg.pretrain_clip_norm is None
+        assert cfg.finetune_clip_norm == 5.0 and type(cfg.finetune_clip_norm) is float
+        assert cfg.focal_baseline == 32.0 and type(cfg.focal_baseline) is float
+        assert type(cfg.pred_threshold) is float
+
+    @pytest.mark.parametrize("overrides, message", [
+        ({"train.net.stage_widths": [0, 4, 4]}, "every value in stage_widths must be >= 1"),
+        ({"train.net.head_widths": [0]}, "every value in head_widths must be >= 1"),
+        ({"train.net.stage_widths": [], "train.net.stage_blocks": [],
+          "train.net.stage_strides": []}, "the net needs at least one stage"),
+        # a stage without blocks would skip its stride, and pairs would land
+        # on the wrong cells of the output grid
+        ({"train.net.stage_blocks": [1, 0, 1]}, "every value in stage_blocks must be >= 1"),
+        ({"train.net.stage_strides": [0, 1, 1]}, "every value in stage_strides must be >= 1"),
+        ({"train.net.seed": -1}, "seed must be >= 0, got -1"),
+    ])
+    def test_bad_net_rejected_before_training(self, tmp_path, capsys, overrides, message):
+        out = tmp_path / "never"
+        assert run(["pretrain", "--config", write_config(tmp_path, **overrides),
+                    "--data", str(tmp_path / "data"), "--pairs", str(tmp_path / "pairs"),
+                    "--out", str(out)]) == 1
+        err = capsys.readouterr().err
+        assert err.startswith("config error: train.net: ") and message in err
+        assert not out.exists()
 
     def test_missing_section_rejected(self, tmp_path, capsys):
         raw = json.loads(json.dumps(BASE_CONFIG))
@@ -597,6 +638,40 @@ def test_shipped_config_loads(path):
         bins, alpha, d_max = PROMISED_BINS[path.name]
         assert (cfg.scheme.bins, cfg.gain.alpha) == (bins, alpha)
         assert d_max is None or cfg.scheme.d_max == d_max
+
+
+def _leaf_keys(node, prefix=""):
+    """The dotted name of every non-object value in a config tree."""
+    for key, value in node.items():
+        if isinstance(value, dict):
+            yield from _leaf_keys(value, f"{prefix}{key}.")
+        else:
+            yield prefix + key
+
+
+@pytest.mark.parametrize("config", [BASE_CONFIG, *SHIPPED_CONFIGS],
+                         ids=lambda c: getattr(c, "name", "BASE_CONFIG"))
+def test_every_config_key_is_a_field(config):
+    from dataclasses import fields
+
+    from reldepth.cli import BinsConfig, EvalConfig, StageConfig, SynthConfig
+    from reldepth.network import AugmentConfig, NetConfig
+    from reldepth.ordinal import PairSampleConfig
+    from reldepth.stereo import BilSubParams, SgmParams
+
+    # the dataclass each section is built from, so each key takes its
+    # field's type and range checks
+    sections = {"synth": SynthConfig, "sgm": SgmParams, "sgm.bilsub": BilSubParams,
+                "pairs": PairSampleConfig, "bins": BinsConfig, "train.net": NetConfig,
+                "train.pretrain": StageConfig, "train.finetune": StageConfig,
+                "train.finetune.augment": AugmentConfig, "eval": EvalConfig}
+    not_fields = {"seed", "sgm.median_radius", "sgm.bilsub.enabled",
+                  "train.finetune.augment.enabled"}
+    raw = config if isinstance(config, dict) else json.loads(config.read_text())
+    for name in set(_leaf_keys(raw)) - not_fields:
+        section, _, key = name.rpartition(".")
+        assert section in sections, name
+        assert key in {f.name for f in fields(sections[section])}, name
 
 
 class TestTrainEvalCommands:

@@ -4,6 +4,7 @@ import json
 import os
 import struct
 import tracemalloc
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -209,6 +210,23 @@ class TestLayers:
             for (y, x_), g in zip(firsts, dout.ravel()):
                 expected[0, 0, y, x_] = g
             assert np.array_equal(dx, expected), name
+
+    @pytest.mark.parametrize("field, value", [
+        ("stage_widths", (0, 4, 5)), ("stage_blocks", (1, 0, 1)),
+        ("stage_strides", (0, 2, 2)), ("head_widths", (6, 0)),
+    ])
+    def test_net_config_rejects_sizes_below_one(self, field, value):
+        with pytest.raises(ValueError, match=f"every value in {field} must be >= 1"):
+            replace(TINY, **{field: value})
+
+    def test_net_config_rejects_no_stages_and_a_negative_seed(self):
+        with pytest.raises(ValueError, match="at least one stage"):
+            NetConfig(stage_widths=(), stage_blocks=(), stage_strides=())
+        with pytest.raises(ValueError, match="seed must be >= 0"):
+            NetConfig(seed=-1)
+        # no head layers is a valid net
+        assert DepthNet(NetConfig(stage_widths=(3,), stage_blocks=(1,), stage_strides=(1,),
+                                  head_widths=())).config.total_stride == 2
 
     def test_maxpool_needs_even_dims(self):
         with pytest.raises(ValueError):
@@ -627,6 +645,10 @@ class TestTraining:
             TrainSchedule(decay_iterations=(5, 5), total_iterations=10)
         with pytest.raises(ValueError):
             TrainSchedule(decay_iterations=(10,), total_iterations=10)
+        # a negative factor would make the learning rate negative, so SGD
+        # would climb the loss
+        with pytest.raises(ValueError, match="decay factor must be >= 0"):
+            TrainSchedule(decay_iterations=(1,), total_iterations=10, decay_factor=-1.0)
         sched = TrainSchedule(learning_rate=1.0, total_iterations=10,
                               decay_iterations=(2, 6), decay_factor=0.5)
         assert sched.lr_at(0) == 1.0
