@@ -8,6 +8,7 @@ failure, 2 on runtime failure.
 """
 
 import argparse
+import functools
 import json
 import os
 import sys
@@ -82,10 +83,12 @@ class SynthConfig:
             raise ValueError("need 1 <= layers_min <= layers_max")
         if self.layers_max > len(self.disparity_choices):
             raise ValueError("not enough disparity choices for the layer count")
-        # one throwaway spec exercises the scene validators up front
-        SynthSceneSpec(self.width, self.height,
-                       self.disparity_choices[:self.layers_min],
-                       self.texture_density, self.d_max, 0)
+        # a scene may draw any of the choices and up to layers_max layers, so
+        # throwaway specs put each choice at that layer count through the
+        # scene validators up front
+        for d in self.disparity_choices:
+            SynthSceneSpec(self.width, self.height, (d,) * self.layers_max,
+                           self.texture_density, self.d_max, 0)
 
 
 @dataclass
@@ -359,8 +362,8 @@ def _scene_spec(cfg: PipelineConfig, index):
 def cmd_synth(cfg: PipelineConfig, out_dir):
     out = Path(out_dir)
     out.mkdir(parents=True, exist_ok=True)
-    scenes = []
-    for i in range(cfg.synth.count):
+
+    def make(i):
         spec = _scene_spec(cfg, i)
         left, right, gt = generate_stereogram(spec)
         names = {
@@ -371,10 +374,20 @@ def cmd_synth(cfg: PipelineConfig, out_dir):
         save_image(left, out / names["left"])
         save_image(right, out / names["right"])
         save_pfm(gt, out / names["gt"])
-        scenes.append({
+        return {
             "index": i, "seed": spec.seed,
             "layer_disparities": list(spec.layer_disparities), **names,
-        })
+        }
+
+    # the scenes are independent, so they are spread over the cores; the
+    # first failure in scene order fails the command and no manifest is written
+    scenes = []
+    for entry, error in _in_shares(list(range(cfg.synth.count)), make,
+                                   len(os.sched_getaffinity(0)), "synth worker"):
+        if error is not None:
+            print(f"error: {error}", file=sys.stderr)
+            return EXIT_RUNTIME
+        scenes.append(entry)
     _write_json(out / "manifest.json", {
         "kind": "synth", "count": cfg.synth.count,
         "width": cfg.synth.width, "height": cfg.synth.height,
@@ -384,31 +397,23 @@ def cmd_synth(cfg: PipelineConfig, out_dir):
     return EXIT_OK
 
 
-def _scene_loop(in_dir, out_dir, work, verb, processes=1, **manifest):
+def _scene_loop(in_dir, out_dir, work, verb, processes=1, name=None, **manifest):
     """Run work(scene, out) over the scenes of in_dir's manifest; it returns
     the scene's entry for the output manifest. A scene that fails with
     OSError or ValueError is listed under "failures" and the others still run.
-
-    With processes > 1 the scenes are split into min(processes, scenes)
-    shares, scene k in share k % shares: this process works share 0 and a
-    forked child each other share, sending back one (entry, error text) per
-    scene. A child that dies fails each scene it did not report with "stereo
-    worker exited <code>". Outcomes are taken in scene order, so the manifest,
-    the stderr lines and the exit code do not depend on the process count.
-    Writes out_dir/manifest.json (the entries plus the manifest keyword
+    The scenes are worked in _in_shares(..., processes, name), so the
+    manifest, the stderr lines and the exit code do not depend on the process
+    count. Writes out_dir/manifest.json (the entries plus the manifest keyword
     arguments) and returns exit code 2 if any scene failed."""
     scenes = _read_scenes(in_dir)
     out = Path(out_dir)
     out.mkdir(parents=True, exist_ok=True)
 
     def attempt(scene):
-        try:
-            return {"index": scene["index"], **work(scene, out)}, None
-        except (OSError, ValueError) as exc:
-            return None, str(exc)
+        return {"index": scene["index"], **work(scene, out)}
 
     entries, failures = [], []
-    for scene, (entry, error) in zip(scenes, _in_shares(scenes, attempt, processes)):
+    for scene, (entry, error) in zip(scenes, _in_shares(scenes, attempt, processes, name)):
         if error is None:
             entries.append(entry)
         else:
@@ -419,19 +424,31 @@ def _scene_loop(in_dir, out_dir, work, verb, processes=1, **manifest):
     return EXIT_RUNTIME if failures else EXIT_OK
 
 
-def _in_shares(scenes, attempt, processes):
-    """[attempt(scene) for scene in scenes], worked as _scene_loop describes.
+def _in_shares(scenes, work, processes, name):
+    """The outcome of work(scene) for each scene, in scene order: (result,
+    None), or (None, error text) for a scene whose work raised OSError or
+    ValueError.
 
-    Only builtin outcomes cross the pipes (see workers.py). Forking a process
-    that has BLAS threads is safe here because the children run elementwise
-    numpy only. Every child is joined before this returns or raises."""
+    The scenes are split into min(processes, scenes) shares, scene k in share
+    k % shares: this process works share 0 and a forked child each other
+    share, sending back one outcome per scene. A child that dies fails each
+    scene it did not report with "<name> exited <code>". Only builtin
+    outcomes cross the pipes (see workers.py). Forking a process that has
+    BLAS threads is safe here because the children run elementwise numpy
+    only. Every child is joined before this returns or raises."""
     shares = max(1, min(processes, len(scenes)))
+
+    def attempt(scene):
+        try:
+            return work(scene), None
+        except (OSError, ValueError) as exc:
+            return None, str(exc)
 
     def serve(k, conn):
         for scene in scenes[k::shares]:
             conn.send(attempt(scene))
 
-    with workers.forked(shares - 1, serve, "stereo worker") as children:
+    with workers.forked(shares - 1, serve, name) as children:
         outcomes = [None] * len(scenes)
         outcomes[0::shares] = [attempt(scene) for scene in scenes[0::shares]]
         for k, child in enumerate(children, 1):
@@ -458,7 +475,7 @@ def cmd_stereo(cfg: PipelineConfig, in_dir, out_dir):
     # pairs stays in-process: a scene takes it about 5-6 ms at 10,000 pairs,
     # and spreading the scenes over two cores saved 5-14 ms of a 0.5 s pass
     return _scene_loop(in_dir, out_dir, match, "matched",
-                       processes=len(os.sched_getaffinity(0)),
+                       processes=len(os.sched_getaffinity(0)), name="stereo worker",
                        kind="disparity", d_max=cfg.sgm_params.d_max)
 
 
@@ -687,7 +704,10 @@ COMMANDS = {
 }
 
 
+@functools.cache
 def build_parser():
+    """The argument parser, built once: argparse keeps no state between
+    parse_args calls."""
     parser = argparse.ArgumentParser(
         prog="reldepth",
         description="stereo-supervised ordinal pretraining and depth classification",

@@ -25,28 +25,31 @@ TEXTURE_JITTER = 0.25
 
 
 def _layer_regions(spec, rng):
-    """Boolean coverage map per layer; layer 0 covers the full frame."""
-    regions = [np.ones((spec.height, spec.width), dtype=bool)]
+    """(top, left, height, width) per layer; layer 0 covers the full frame."""
+    regions = [(0, 0, spec.height, spec.width)]
     for _ in spec.layer_disparities[1:]:
         h = int(rng.integers(max(2, spec.height // 4), max(3, spec.height // 2) + 1))
         w = int(rng.integers(max(2, spec.width // 4), max(3, spec.width // 2) + 1))
         top = int(rng.integers(0, spec.height - h + 1))
         left = int(rng.integers(0, spec.width - w + 1))
-        region = np.zeros((spec.height, spec.width), dtype=bool)
-        region[top:top + h, left:left + w] = True
-        regions.append(region)
+        regions.append((top, left, h, w))
     return regions
 
 
 def _layer_texture(spec, disparity, rng):
-    """Random-dot RGB texture on an extended canvas (width + disparity)."""
+    """Random-dot RGB texture on an extended canvas (width + disparity), in
+    float64; the noise array is worked in place."""
     h, w = spec.height, spec.width + disparity
     shade = SHADE_BASE + SHADE_GAIN * disparity / spec.d_max
     dots = rng.random((h, w)) < spec.texture_density
-    noise = rng.random((h, w, 3)) * 2.0 - 1.0
-    tex = np.clip(shade + TEXTURE_JITTER * noise, 0.0, 1.0)
+    tex = rng.random((h, w, 3))
+    tex *= 2.0
+    tex -= 1.0
+    tex *= TEXTURE_JITTER
+    tex += shade
+    np.clip(tex, 0.0, 1.0, out=tex)
     tex *= dots[:, :, None]
-    return tex.astype(np.float32)
+    return tex
 
 
 def generate_stereogram(spec: SynthSceneSpec):
@@ -58,45 +61,37 @@ def generate_stereogram(spec: SynthSceneSpec):
     """
     rng = np.random.default_rng(spec.seed)
     regions = _layer_regions(spec, rng)
-    textures = [
-        _layer_texture(spec, d, rng) for d in spec.layer_disparities
-    ]
+    disparities = np.array(spec.layer_disparities)
+    h, w = spec.height, spec.width
+    canvas = np.zeros((len(regions), h, w + disparities.max(), 3), dtype=np.float32)
+    for k, d in enumerate(spec.layer_disparities):
+        canvas[k, :, :w + d] = _layer_texture(spec, d, rng)
 
-    n_layers = len(regions)
-    # Topmost covering layer per pixel, in both views. Layer k occupies
-    # region_k in the left view and region_k shifted left by d_k in the right.
-    label_left = np.zeros((spec.height, spec.width), dtype=np.int64)
-    label_right = np.zeros((spec.height, spec.width), dtype=np.int64)
-    cols = np.arange(spec.width)
-    for k in range(n_layers):
-        d = spec.layer_disparities[k]
-        label_left[regions[k]] = k
-        src = cols + d  # right-view column x shows layer texture column x + d
-        covered = np.zeros((spec.height, spec.width), dtype=bool)
-        inside = src < spec.width
-        covered[:, inside] = regions[k][:, src[inside]]
-        label_right[covered] = k
+    # Topmost covering layer per pixel, in both views. Layer k occupies its
+    # rectangle in the left view and the rectangle shifted left by d_k in the
+    # right.
+    label_left = np.zeros((h, w), dtype=np.intp)
+    label_right = np.zeros((h, w), dtype=np.intp)
+    for k, ((top, x0, rh, rw), d) in enumerate(zip(regions, spec.layer_disparities)):
+        label_left[top:top + rh, x0:x0 + rw] = k
+        label_right[top:top + rh, max(0, x0 - d):max(0, x0 + rw - d)] = k
 
-    left = np.zeros((spec.height, spec.width, 3), dtype=np.float32)
-    right = np.zeros((spec.height, spec.width, 3), dtype=np.float32)
-    gt = np.zeros((spec.height, spec.width), dtype=np.float32)
-    valid = np.zeros((spec.height, spec.width), dtype=bool)
-    for k in range(n_layers):
-        d = spec.layer_disparities[k]
-        sel = label_left == k
-        left[sel] = textures[k][:, :spec.width][sel]
-        gt[sel] = d
-        sel_r = label_right == k
-        right[sel_r] = textures[k][:, d:d + spec.width][sel_r]
-        # valid: the matching right pixel exists and shows the same layer
-        match_col = cols - d
-        in_frame = np.zeros((spec.height, spec.width), dtype=bool)
-        ok = match_col >= 0
-        in_frame[:, ok] = label_right[:, match_col[ok]] == k
-        valid |= sel & in_frame
+    # Each view pixel is selected from its layer's texture: canvas pixel
+    # (k, y, x) is row (k * h + y) * wc + x of pixels, and the right view's
+    # column x shows texture column x + d_k.
+    rows, cols = np.arange(h)[:, None], np.arange(w)
+    wc = canvas.shape[2]
+    pixels = canvas.reshape(-1, 3)
+    left = pixels.take((label_left * h + rows) * wc + cols, axis=0)
+    right = pixels.take((label_right * h + rows) * wc + cols + disparities[label_right], axis=0)
+    gt = disparities[label_left]
+    # valid: the matching right pixel exists and shows the same layer
+    match_col = cols - gt
+    valid = match_col >= 0
+    valid &= label_right[rows, np.maximum(match_col, 0)] == label_left
 
     return (
         Image(left),
         Image(right),
-        DepthMap(gt, valid, kind=DISPARITY),
+        DepthMap(gt.astype(np.float32), valid, kind=DISPARITY),
     )

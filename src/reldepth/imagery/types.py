@@ -108,7 +108,8 @@ class SynthSceneSpec:
     ``layer_disparities[0]`` is the background plane covering the full frame;
     subsequent entries are foreground rectangles composited on top in list
     order. Every disparity must be a non-negative integer strictly below
-    ``d_max``, the stereo search range the scene is generated for. Dots cover
+    ``d_max``, the stereo search range the scene is generated for. A scene
+    with foreground layers is at least 3 px on each side. Dots cover
     ``texture_density`` of each layer; their brightness grows with the layer's
     disparity so scenes carry a monocular cue a single-image model can learn.
     """
@@ -126,6 +127,10 @@ class SynthSceneSpec:
             raise ValueError("scene dimensions must be positive")
         if len(self.layer_disparities) < 1:
             raise ValueError("at least one layer is required")
+        # a foreground rectangle may be 3 px on a side
+        if len(self.layer_disparities) > 1 and min(self.width, self.height) < 3:
+            raise ValueError("a scene with more than one layer must be at least 3 px "
+                             f"wide and high, got {self.width}x{self.height}")
         if not 0.0 < self.texture_density <= 1.0:
             raise ValueError("texture density must be in (0, 1]")
         if self.d_max < 1:

@@ -40,9 +40,11 @@ class CostVolume:
         arr = np.asarray(self.costs, dtype=np.float64)
         if arr.ndim != 3 or min(arr.shape) < 1:
             raise ValueError(f"cost volume must be (H, W, D), got {arr.shape}")
-        if not np.all(np.isfinite(arr)):
+        # NaN and +-inf show in the extremes, so no whole-volume mask is built
+        lo, hi = arr.min(), arr.max()
+        if not (np.isfinite(lo) and np.isfinite(hi)):
             raise ValueError("cost volume contains non-finite entries")
-        if arr.min() < 0.0:
+        if lo < 0.0:
             raise ValueError("cost volume entries must be non-negative")
         self.costs = arr
 

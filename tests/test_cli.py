@@ -131,6 +131,83 @@ class TestSynth:
         assert tree_digest(a) != tree_digest(b)
 
 
+def synth_run(tmp_path, capsys, count, cpus, monkeypatch, out="synth"):
+    """synth count scenes seeing cpus usable cores; returns (exit code,
+    output directory, stderr lines)."""
+    cfg = write_config(tmp_path, **{"synth.count": count})
+    capsys.readouterr()
+    monkeypatch.setattr(os, "sched_getaffinity", lambda pid: set(range(cpus)))
+    rc = run(["synth", "--config", cfg, "--out", str(tmp_path / out)])
+    return rc, tmp_path / out, capsys.readouterr().err.splitlines()
+
+
+class TestSynthProcesses:
+    @pytest.mark.parametrize("count", [1, 2, 3, 5])
+    @pytest.mark.parametrize("cpus", [1, 2, 3])
+    def test_outputs_equal_the_one_core_run(self, tmp_path, capsys, monkeypatch, cpus, count):
+        rc, serial, err = synth_run(tmp_path, capsys, count, 1, monkeypatch, "serial")
+        assert (rc, err) == (0, [])
+        rc, forked, err = synth_run(tmp_path, capsys, count, cpus, monkeypatch, "forked")
+        assert (rc, err) == (0, [])
+        assert len(list(forked.iterdir())) == 3 * count + 1
+        assert tree_digest(forked) == tree_digest(serial)
+        assert multiprocessing.active_children() == []
+
+    @pytest.mark.parametrize("cpus", [1, 3])
+    def test_first_error_in_scene_order_fails_the_command(self, tmp_path, capsys, monkeypatch,
+                                                          cpus):
+        from reldepth import cli
+
+        real_save = cli.save_pfm
+
+        def save_pfm(dmap, path):
+            # shares of 5 scenes on 3 cores: {0, 3} here, {1, 4} and {2} in children
+            if path.name in ("gt_002.pfm", "gt_004.pfm"):
+                raise OSError(f"cannot write {path.name}")
+            if path.name == "gt_003.pfm":
+                raise ValueError("bad scene 3")
+            real_save(dmap, path)
+
+        monkeypatch.setattr(cli, "save_pfm", save_pfm)
+        rc, out, err = synth_run(tmp_path, capsys, 5, cpus, monkeypatch)
+        assert (rc, err) == (2, ["error: cannot write gt_002.pfm"])
+        assert not (out / "manifest.json").exists()
+        assert multiprocessing.active_children() == []
+
+    def test_dead_worker_fails_the_command(self, tmp_path, capsys, monkeypatch):
+        from reldepth import cli
+
+        parent, real_generate = os.getpid(), cli.generate_stereogram
+
+        def generate_stereogram(spec):
+            if os.getpid() != parent:
+                os._exit(9)
+            return real_generate(spec)
+
+        monkeypatch.setattr(cli, "generate_stereogram", generate_stereogram)
+        rc, out, err = synth_run(tmp_path, capsys, 3, 2, monkeypatch)
+        assert (rc, err) == (2, ["error: synth worker exited 9"])
+        assert not (out / "manifest.json").exists()
+        assert multiprocessing.active_children() == []
+
+    def test_error_in_own_share_stops_the_children(self, tmp_path, capsys, monkeypatch):
+        from reldepth import cli
+
+        parent = os.getpid()
+
+        def generate_stereogram(spec):
+            if os.getpid() == parent:
+                raise RuntimeError("parent share failed")
+            time.sleep(60)
+
+        monkeypatch.setattr(cli, "generate_stereogram", generate_stereogram)
+        start = time.perf_counter()
+        with pytest.raises(RuntimeError, match="parent share failed"):
+            synth_run(tmp_path, capsys, 3, 3, monkeypatch)
+        assert time.perf_counter() - start < 30
+        assert multiprocessing.active_children() == []
+
+
 class TestStereoAndPairs:
     def test_zero_disparity_scene_matches_zero(self, tmp_path):
         cfg = write_config(tmp_path, **{
@@ -555,10 +632,24 @@ class TestConfigValidation:
         ("train.pretrain.decay_factor", [0.5],
          "train.pretrain: decay_factor must be a number, got [0.5]"),
         ("sgm.bilsub.enabled", [], "sgm.bilsub: enabled must be true or false, got []"),
+        # a foreground rectangle needs 3 px a side, and a scene may draw any choice
+        ("synth.width", 1, "synth: a scene with more than one layer must be at least 3 px"),
+        ("synth.width", 2, "synth: a scene with more than one layer must be at least 3 px"),
+        ("synth.height", 2, "synth: a scene with more than one layer must be at least 3 px"),
+        ("synth.disparity_choices", [1, 6, 8], "synth: layer disparity 8 outside [0, 8)"),
     ])
     def test_bad_value_rejected_by_name(self, tmp_path, capsys, key, value, message):
         err = assert_config_rejected(write_config(tmp_path, **{key: value}), tmp_path, capsys)
         assert message in err
+
+    def test_small_synth_frame_checked_at_the_largest_layer_count(self, tmp_path, capsys):
+        from reldepth.cli import load_config
+
+        one_to_two = {"synth.width": 2, "synth.layers_min": 1, "synth.layers_max": 2}
+        err = assert_config_rejected(write_config(tmp_path, **one_to_two), tmp_path, capsys)
+        assert "synth: a scene with more than one layer must be at least 3 px" in err
+        # one layer needs no room for a foreground rectangle
+        assert load_config(write_config(tmp_path, **{**one_to_two, "synth.layers_max": 1}))
 
     def test_numbers_load_as_floats_and_clip_norm_takes_null(self, tmp_path):
         from reldepth.cli import load_config

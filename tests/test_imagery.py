@@ -3,6 +3,7 @@ import re
 
 import numpy as np
 import pytest
+import synth_reference
 
 from reldepth.imagery import (
     DISPARITY,
@@ -197,6 +198,15 @@ class TestTypes:
         with pytest.raises(ValueError):
             SynthSceneSpec(8, 8, layer_disparities=(4,), d_max=4)
 
+    @pytest.mark.parametrize("width, height", [(1, 8), (2, 8), (8, 2), (2, 2)])
+    def test_scene_spec_rejects_foreground_on_a_small_frame(self, width, height):
+        # a foreground rectangle may be 3 px on a side, so below that the
+        # placement draw has no room
+        with pytest.raises(ValueError, match=f"at least 3 px wide and high, got {width}x{height}"):
+            SynthSceneSpec(width, height, layer_disparities=(1, 2), d_max=4)
+        left, _, _ = generate_stereogram(SynthSceneSpec(width, height, (1,), d_max=4))
+        assert left.data.shape == (height, width, 3)
+
     def test_disparity_to_depth(self):
         dm = DepthMap(np.array([[4.0, 0.0]], dtype=np.float32), kind=DISPARITY)
         depth = disparity_to_depth(dm, 8.0)
@@ -243,6 +253,26 @@ class TestStereogram:
             ys, xs = np.nonzero(gt.mask)
             d = gt.values[ys, xs].astype(int)
             assert np.array_equal(left.data[ys, xs], right.data[ys, xs - d])
+
+    def test_equals_the_loop_compositor_bit_for_bit(self):
+        # 1-5 layers on 3-24 px frames, disparities up to d_max - 1 and past
+        # the frame width, sparse to full textures
+        rng = np.random.default_rng(23)
+        for _ in range(600):
+            n_layers = int(rng.integers(1, 6))
+            d_max = int(rng.integers(n_layers, 40))
+            disps = rng.choice(d_max, size=n_layers, replace=False)
+            spec = SynthSceneSpec(int(rng.integers(3, 25)), int(rng.integers(3, 25)),
+                                  layer_disparities=tuple(int(d) for d in disps),
+                                  texture_density=float(rng.uniform(0.05, 1.0)),
+                                  d_max=d_max, seed=int(rng.integers(1 << 30)))
+            left, right, gt = generate_stereogram(spec)
+            want_left, want_right, want_gt = synth_reference.generate_stereogram(spec)
+            for name, a, b in (("left", left.data, want_left.data),
+                               ("right", right.data, want_right.data),
+                               ("gt", gt.values, want_gt.values), ("mask", gt.mask, want_gt.mask)):
+                assert a.dtype == b.dtype and a.shape == b.shape, (name, spec)
+                assert a.tobytes() == b.tobytes(), (name, spec)
 
 
 class TestAugment:

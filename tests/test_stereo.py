@@ -247,6 +247,17 @@ class TestAggregate:
         with pytest.raises(ValueError):
             sgm_aggregate(cv, SgmParams(p1=0, p2=0, d_max=4))
 
+    @pytest.mark.parametrize("bad, message", [
+        (np.nan, "non-finite entries"), (np.inf, "non-finite entries"),
+        (-np.inf, "non-finite entries"), (-0.5, "must be non-negative")])
+    def test_cost_volume_rejects_bad_entries(self, bad, message):
+        for at in ((0, 0, 0), (1, 2, 1)):
+            costs = np.ones((2, 3, 2))
+            costs[at] = bad
+            costs[0, 1, 1] = -1.0 if np.isnan(bad) else 1.0  # a NaN outranks a negative
+            with pytest.raises(ValueError, match=message):
+                CostVolume(costs)
+
 
 class TestWinnerTakesAll:
     def test_unique_argmin(self):
