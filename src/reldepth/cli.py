@@ -10,7 +10,6 @@ failure, 2 on runtime failure.
 import argparse
 import functools
 import json
-import os
 import sys
 from contextlib import contextmanager
 from dataclasses import dataclass, fields, replace
@@ -33,7 +32,7 @@ from .imagery import (
     save_pfm,
 )
 from .imagery.io import _atomic_write
-from .metrics import aggregate, evaluate
+from .metrics import MetricsReport, aggregate, evaluate
 from .network import (
     AugmentConfig,
     DepthNet,
@@ -379,15 +378,7 @@ def cmd_synth(cfg: PipelineConfig, out_dir):
             "layer_disparities": list(spec.layer_disparities), **names,
         }
 
-    # the scenes are independent, so they are spread over the cores; the
-    # first failure in scene order fails the command and no manifest is written
-    scenes = []
-    for entry, error in _in_shares(list(range(cfg.synth.count)), make,
-                                   len(os.sched_getaffinity(0)), "synth worker"):
-        if error is not None:
-            print(f"error: {error}", file=sys.stderr)
-            return EXIT_RUNTIME
-        scenes.append(entry)
+    scenes = _every_scene(list(range(cfg.synth.count)), make, "synth worker")
     _write_json(out / "manifest.json", {
         "kind": "synth", "count": cfg.synth.count,
         "width": cfg.synth.width, "height": cfg.synth.height,
@@ -397,13 +388,28 @@ def cmd_synth(cfg: PipelineConfig, out_dir):
     return EXIT_OK
 
 
-def _scene_loop(in_dir, out_dir, work, verb, processes=1, name=None, **manifest):
+def _every_scene(scenes, work, name, net=None):
+    """work(scene) for each scene, in scene order, worked in _in_shares(...,
+    name); the first failure in scene order raises ValueError with its text.
+    A norm of the net work predicts with, if any, that no training calibrated
+    takes its statistics from the first image it sees, so the first scene is
+    worked once before the fork, as in one process."""
+    if net is not None and scenes and not all(n.calibrated for _, n in net.named_norms()):
+        work(scenes[0])
+    outcomes = _in_shares(scenes, work, name)
+    for _, error in outcomes:
+        if error is not None:
+            raise ValueError(error)
+    return [result for result, _ in outcomes]
+
+
+def _scene_loop(in_dir, out_dir, work, verb, name, **manifest):
     """Run work(scene, out) over the scenes of in_dir's manifest; it returns
     the scene's entry for the output manifest. A scene that fails with
     OSError or ValueError is listed under "failures" and the others still run.
-    The scenes are worked in _in_shares(..., processes, name), so the
-    manifest, the stderr lines and the exit code do not depend on the process
-    count. Writes out_dir/manifest.json (the entries plus the manifest keyword
+    The scenes are worked in _in_shares(..., name), so the manifest, the
+    stderr lines and the exit code do not depend on the process count.
+    Writes out_dir/manifest.json (the entries plus the manifest keyword
     arguments) and returns exit code 2 if any scene failed."""
     scenes = _read_scenes(in_dir)
     out = Path(out_dir)
@@ -413,7 +419,7 @@ def _scene_loop(in_dir, out_dir, work, verb, processes=1, name=None, **manifest)
         return {"index": scene["index"], **work(scene, out)}
 
     entries, failures = [], []
-    for scene, (entry, error) in zip(scenes, _in_shares(scenes, attempt, processes, name)):
+    for scene, (entry, error) in zip(scenes, _in_shares(scenes, attempt, name)):
         if error is None:
             entries.append(entry)
         else:
@@ -424,19 +430,15 @@ def _scene_loop(in_dir, out_dir, work, verb, processes=1, name=None, **manifest)
     return EXIT_RUNTIME if failures else EXIT_OK
 
 
-def _in_shares(scenes, work, processes, name):
+def _in_shares(scenes, work, name):
     """The outcome of work(scene) for each scene, in scene order: (result,
     None), or (None, error text) for a scene whose work raised OSError or
-    ValueError.
-
-    The scenes are split into min(processes, scenes) shares, scene k in share
-    k % shares: this process works share 0 and a forked child each other
-    share, sending back one outcome per scene. A child that dies fails each
-    scene it did not report with "<name> exited <code>". Only builtin
-    outcomes cross the pipes (see workers.py). Forking a process that has
-    BLAS threads is safe here because the children run elementwise numpy
-    only. Every child is joined before this returns or raises."""
-    shares = max(1, min(processes, len(scenes)))
+    ValueError. Scene k goes to share k % n of workers.forked's n shares: this
+    process works share 0 and a forked child named name each other share,
+    sending back one outcome per scene. A child that dies fails each scene it
+    did not report with "<name> exited <code>". Only builtin outcomes cross
+    the pipes (see workers.py). Every child is joined before this returns or
+    raises."""
 
     def attempt(scene):
         try:
@@ -444,11 +446,12 @@ def _in_shares(scenes, work, processes, name):
         except (OSError, ValueError) as exc:
             return None, str(exc)
 
-    def serve(k, conn):
+    def serve(k, shares, conn):
         for scene in scenes[k::shares]:
             conn.send(attempt(scene))
 
-    with workers.forked(shares - 1, serve, name) as children:
+    with workers.forked(len(scenes), serve, name) as children:
+        shares = len(children) + 1
         outcomes = [None] * len(scenes)
         outcomes[0::shares] = [attempt(scene) for scene in scenes[0::shares]]
         for k, child in enumerate(children, 1):
@@ -471,11 +474,7 @@ def cmd_stereo(cfg: PipelineConfig, in_dir, out_dir):
         save_pfm(disp, out / name)
         return {"disparity": name}
 
-    # each scene is matched on its own, so the scenes are spread over the cores;
-    # pairs stays in-process: a scene takes it about 5-6 ms at 10,000 pairs,
-    # and spreading the scenes over two cores saved 5-14 ms of a 0.5 s pass
-    return _scene_loop(in_dir, out_dir, match, "matched",
-                       processes=len(os.sched_getaffinity(0)), name="stereo worker",
+    return _scene_loop(in_dir, out_dir, match, "matched", "stereo worker",
                        kind="disparity", d_max=cfg.sgm_params.d_max)
 
 
@@ -490,7 +489,7 @@ def cmd_pairs(cfg: PipelineConfig, in_dir, out_dir):
         save_pairs_csv(sample_pairs(disp, pair_cfg), out / name)
         return {"pairs": name}
 
-    return _scene_loop(in_dir, out_dir, sample, "sampled pairs for",
+    return _scene_loop(in_dir, out_dir, sample, "sampled pairs for", "pairs worker",
                        kind="pairs", count=cfg.pair_cfg.count)
 
 
@@ -615,13 +614,11 @@ def cmd_eval(cfg: PipelineConfig, data_dir, out_dir, ckpt=None, pred_dir=None):
     scenes = _read_scenes(data_dir)
     if not scenes:
         raise ValueError(f"no scenes to evaluate under {data_dir}")
-    net = None
-    if ckpt is not None:
-        net, _ = load_checkpoint(ckpt)
+    net = None if ckpt is None else load_checkpoint(ckpt)[0]
     out = Path(out_dir)
     out.mkdir(parents=True, exist_ok=True)
-    reports, per_scene = [], []
-    for scene in scenes:
+
+    def score(scene):
         gt_disp = load_pfm(_scene_file(data_dir, scene, "gt"), kind=DISPARITY)
         gt = disparity_to_depth(gt_disp, cfg.focal_baseline)
         if net is not None:
@@ -629,10 +626,11 @@ def cmd_eval(cfg: PipelineConfig, data_dir, out_dir, ckpt=None, pred_dir=None):
             pred = predict_depth(net, image, cfg.scheme)
         else:
             pred = load_pfm(_scene_file(pred_dir, scene, "gt"), kind="depth")
-        report = evaluate(pred, gt)
-        reports.append(report)
-        per_scene.append({"index": scene["index"], **report.to_dict()})
-    pooled = aggregate(reports)
+        return evaluate(pred, gt).to_dict()
+
+    reports = _every_scene(scenes, score, "eval worker", net)
+    pooled = aggregate(MetricsReport(**report) for report in reports)
+    per_scene = [{"index": scene["index"], **report} for scene, report in zip(scenes, reports)]
     _write_json(out / "metrics.json",
                 {"aggregate": pooled.to_dict(), "per_scene": per_scene})
     print(pooled.to_json())
@@ -649,20 +647,21 @@ def cmd_whdr(cfg: PipelineConfig, data_dir, pairs_dir, ckpt, out_dir):
         raise ValueError("whdr scoring expects a ranking checkpoint")
     out = Path(out_dir)
     out.mkdir(parents=True, exist_ok=True)
-    per_scene, disagree, total = [], 0.0, 0
-    for scene in scenes:
+
+    def score(scene):
         pairs = np.asarray(load_pairs(scene))
         if cfg.strict_pairs_only:
             pairs = pairs[pairs[:, 4] != EQUAL]
         if not len(pairs):
             raise ValueError(f"scene {scene['index']}: no pairs left to score")
         image = load_image(_scene_file(data_dir, scene, "left"))
-        pred = predict_relative(net, image)
-        rate = whdr(pred, pairs, pred_threshold=cfg.pred_threshold)
-        per_scene.append({"index": scene["index"], "whdr": rate,
-                          "pair_count": len(pairs)})
-        disagree += rate * len(pairs)
-        total += len(pairs)
+        rate = whdr(predict_relative(net, image), pairs, pred_threshold=cfg.pred_threshold)
+        return {"index": scene["index"], "whdr": rate, "pair_count": len(pairs)}
+
+    per_scene, disagree, total = _every_scene(scenes, score, "whdr worker", net), 0.0, 0
+    for entry in per_scene:
+        disagree += entry["whdr"] * entry["pair_count"]
+        total += entry["pair_count"]
     pooled = disagree / total
     _write_json(out / "whdr.json", {"whdr": pooled, "per_scene": per_scene})
     print(f"whdr {pooled:.6f} over {total} pairs")

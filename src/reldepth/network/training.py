@@ -14,17 +14,17 @@ which adds zero loss and zero gradient; backward then gives that sample's
 parameter gradients. Losses and gradients are summed in sample order and
 averaged over the batch before one SGD step.
 
-The samples are spread over the cores, sample k in share k mod n for
-n = min(cores, batch size). The loop works share 0 itself and forks one
-worker per other share, alive as long as the loop: each iteration a worker
-gets the iteration number and the parameters, draws the batch itself and
-sends back its samples' losses and gradients. Every share makes the whole
-batch's augmentation draws but resamples only its own samples. Every process
-runs OpenBLAS on one thread, so a sample's gradient has the same bytes
-wherever it is computed, and checkpoints and logs do not depend on the core
-count. A sample whose draw, forward pass or loss raises ValueError comes back
-as the error's text, and the loop raises the first in sample order, so
-errors do not depend on it either.
+The samples are spread over workers.forked's n shares, sample k in share k mod
+n. The loop works share 0 itself and forks one worker per other share, alive as
+long as the loop: each iteration a worker gets the iteration number and the
+parameters, draws the batch itself and sends back its samples' losses and
+gradients one by one; the loop adds each to the sum when it is next in sample
+order. Every share makes the whole batch's augmentation draws but resamples
+only its own samples. Every process runs OpenBLAS on one thread, so a sample's
+gradient has the same bytes wherever it is computed, and checkpoints and logs
+do not depend on the core count. A sample whose draw, forward pass or loss
+raises ValueError comes back as the error's text, and the loop raises the first
+in sample order, so errors do not depend on it either.
 
 Norms not yet calibrated (a fresh net, a new head) take their statistics
 from the whole first batch after the fork: each share forwards its own
@@ -35,7 +35,6 @@ have the bytes of a whole-batch pass, which no process runs.
 """
 
 import functools
-import os
 from dataclasses import dataclass
 
 import numpy as np
@@ -45,7 +44,7 @@ from ..imagery.augment import augment, draw_augment, resize_depth, scaled_size
 from ..imagery.types import DepthMap, Image
 from ..losses import LossResult, infogain_loss, ranking_loss
 from ..ordinal import PairSet, check_inside, pair_rows
-from ..workers import forked, one_blas_thread
+from ..workers import forked
 from .model import CLASSIFICATION, REGRESSION, DepthNet, check_batch, stack_images
 
 
@@ -198,31 +197,29 @@ def _sgd_loop(net: DepthNet, dataset, schedule: TrainSchedule, seed, sample_loss
             raise ValueError(f"training diverged at iteration {iteration}: {exc}") from None
         if res is None:
             return None
-        for t in params:
-            t.zero_grad()
+        net.zero_grad()
         net.backward(res.gradient[None] / schedule.batch_size)
         return res.value, [t.grad.copy() for t in params]
 
     def share_outcomes(iteration, k, shares):
-        """Per sample k, k + shares, ...: (loss, parameter gradients), None
-        for a sample with nothing to score, or the text of the ValueError
-        that its draw, forward pass or loss raised. Every process sends
-        text, so the parent raises the same error whatever the core count."""
+        """Yield for sample k, k + shares, ...: (loss, parameter gradients),
+        None if it has nothing to score, or the text of the ValueError its
+        draw, forward pass or loss raised. Every process sends text, so the
+        parent raises the same error whatever the core count."""
         try:
             batch = draw(iteration, k, shares)
         except ValueError as exc:
-            return [str(exc)] * len(range(k, schedule.batch_size, shares))
-        outcomes = []
+            yield from [str(exc)] * len(range(k, schedule.batch_size, shares))
+            return
         for image, target in batch:
             try:
-                outcomes.append(sample_outcome(iteration, image, target))
+                yield sample_outcome(iteration, image, target)
             except ValueError as exc:
-                outcomes.append(str(exc))
-        return outcomes
+                yield str(exc)
 
     uncalibrated = [norm for _, norm in net.named_norms() if not norm.calibrated]
 
-    def calibration_pass(k, gather):
+    def calibration_pass(k, shares, gather):
         """If a norm is not yet calibrated (a fresh net, a new head), forward
         samples k, k + shares, ... of the first batch, each such norm
         calling gather(norm, x) on its input x from those samples."""
@@ -251,56 +248,53 @@ def _sgd_loop(net: DepthNet, dataset, schedule: TrainSchedule, seed, sample_loss
         for worker in workers:
             worker.send((norm.mu, norm.sigma))
 
-    with one_blas_thread() as pinned:
-        shares = min(len(os.sched_getaffinity(0)), schedule.batch_size) if pinned else 1
+    def serve(k, shares, conn):
+        def send_share(norm, x):
+            conn.send(x.transpose(1, 0, 2, 3))
+            norm.mu, norm.sigma = conn.recv()
+            norm.calibrated = True
 
-        def serve(k, conn):
-            def send_share(norm, x):
-                conn.send(x.transpose(1, 0, 2, 3))
-                norm.mu, norm.sigma = conn.recv()
-                norm.calibrated = True
-
+        try:
+            calibration_pass(k, shares, send_share)
+        except ValueError as exc:
+            conn.send(str(exc))  # read by the parent at its next gather
+            return
+        while True:
             try:
-                calibration_pass(k, send_share)
-            except ValueError as exc:
-                conn.send(str(exc))  # read by the parent at its next gather
+                iteration, values = conn.recv()
+            except EOFError:
                 return
-            while True:
-                try:
-                    iteration, values = conn.recv()
-                except EOFError:
-                    return
-                for tensor, value in zip(params, values):
-                    tensor.values[...] = value
-                conn.send(share_outcomes(iteration, k, shares))
+            for tensor, value in zip(params, values):
+                tensor.values[...] = value
+            for outcome in share_outcomes(iteration, k, shares):
+                conn.send(outcome)
 
-        history = []
-        with forked(shares - 1, serve, "training worker") as workers:
-            calibration_pass(0, gather_batch)
-            for iteration in iterations:
-                for worker in workers:
-                    worker.send((iteration, [t.values for t in params]))
-                outcomes = [None] * schedule.batch_size
-                outcomes[0::shares] = share_outcomes(iteration, 0, shares)
-                for k, worker in enumerate(workers, 1):
-                    outcomes[k::shares] = worker.recv()
-                loss = 0.0
-                for t in params:
-                    t.zero_grad()
-                for outcome in outcomes:
-                    if isinstance(outcome, str):
-                        raise ValueError(outcome)
-                    if outcome is not None:
-                        loss += outcome[0]
-                        for tensor, grad in zip(params, outcome[1]):
-                            tensor.grad += grad
-                loss /= schedule.batch_size
-                lr = schedule.lr_at(iteration)
-                _sgd_step(net, lr, clip_norm)
-                record = {"iter": iteration, "loss": loss, "lr": lr}
-                history.append(record)
-                if log_fn is not None:
-                    log_fn(record)
+    history = []
+    with forked(schedule.batch_size, serve, "training worker") as workers:
+        shares = len(workers) + 1
+        calibration_pass(0, shares, gather_batch)
+        for iteration in iterations:
+            for worker in workers:
+                worker.send((iteration, [t.values for t in params]))
+            own = share_outcomes(iteration, 0, shares)
+            loss, grads = 0.0, [np.zeros_like(t.values) for t in params]
+            for n in range(schedule.batch_size):
+                outcome = workers[n % shares - 1].recv() if n % shares else next(own)
+                if isinstance(outcome, str):
+                    raise ValueError(outcome)
+                if outcome is not None:
+                    loss += outcome[0]
+                    for total, grad in zip(grads, outcome[1]):
+                        total += grad
+            for t, total in zip(params, grads):
+                t.grad = total
+            loss /= schedule.batch_size
+            lr = schedule.lr_at(iteration)
+            _sgd_step(net, lr, clip_norm)
+            record = {"iter": iteration, "loss": loss, "lr": lr}
+            history.append(record)
+            if log_fn is not None:
+                log_fn(record)
     return history
 
 

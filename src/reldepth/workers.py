@@ -1,12 +1,13 @@
-"""Forked worker processes, and the BLAS thread pin that training runs them
-under. Children are forked, not spawned: they inherit their work's closure,
-so nothing of reldepth is pickled (once reldepth is imported afresh in a
-process, its functions and classes no longer pickle by name) and only
-builtins and numpy arrays cross the pipes.
+"""Forked worker processes: how many share a job, and the BLAS thread pin
+they all run under. Children are forked, not spawned: they inherit their
+work's closure, so nothing of reldepth is pickled (once reldepth is imported
+afresh in a process, its functions and classes no longer pickle by name) and
+only builtins and numpy arrays cross the pipes.
 """
 
 import functools
 import multiprocessing
+import os
 from contextlib import contextmanager
 
 
@@ -38,32 +39,37 @@ class Worker:
         return WorkerExited(f"{self.name} exited {self.process.exitcode}")
 
 
-def _child(serve, k, conn, parent_end):
+def _child(serve, k, shares, conn, parent_end):
     parent_end.close()  # so that the child sees EOF once the parent is gone
-    serve(k, conn)
+    serve(k, shares, conn)
 
 
 @contextmanager
-def forked(count, serve, name):
-    """Fork count children, child k = 1..count running serve(k, conn) on its
-    end of a duplex pipe, and yield their Workers in order. On leaving the
-    block, also by an exception, each child still running is terminated,
-    every child joined and every pipe closed."""
+def forked(items, serve, name):
+    """Share a job of items items over n = min(cores, items) processes,
+    counting the cores this process may run on; over one without numpy's
+    bundled OpenBLAS thread setter. The block, which works share 0, and the
+    n - 1 children forked in it run OpenBLAS on one thread; the block gets
+    their Workers, child k running serve(k, n, conn) on its end of a duplex
+    pipe. On leaving the block, also by an exception, each child still
+    running is terminated, every child joined and every pipe closed."""
     fork = multiprocessing.get_context("fork")
-    workers = []
-    try:
-        for k in range(1, count + 1):
-            here, there = fork.Pipe()
-            process = fork.Process(target=_child, args=(serve, k, there, here))
-            process.start()
-            there.close()  # the child holds the only copy of its end
-            workers.append(Worker(name, process, here))
-        yield workers
-    finally:
-        for worker in workers:
-            worker.process.terminate()  # a no-op for a child that has exited
-            worker.process.join()
-            worker.conn.close()
+    with one_blas_thread() as pinned:
+        shares = min(len(os.sched_getaffinity(0)), items) if pinned else 1
+        workers = []
+        try:
+            for k in range(1, shares):
+                here, there = fork.Pipe()
+                process = fork.Process(target=_child, args=(serve, k, shares, there, here))
+                process.start()
+                there.close()  # the child holds the only copy of its end
+                workers.append(Worker(name, process, here))
+            yield workers
+        finally:
+            for worker in workers:
+                worker.process.terminate()  # a no-op for a child that has exited
+                worker.process.join()
+                worker.conn.close()
 
 
 @functools.cache

@@ -3,6 +3,7 @@ import inspect
 import json
 import multiprocessing
 import os
+import pkgutil
 import struct
 import time
 from pathlib import Path
@@ -131,83 +132,6 @@ class TestSynth:
         assert tree_digest(a) != tree_digest(b)
 
 
-def synth_run(tmp_path, capsys, count, cpus, monkeypatch, out="synth"):
-    """synth count scenes seeing cpus usable cores; returns (exit code,
-    output directory, stderr lines)."""
-    cfg = write_config(tmp_path, **{"synth.count": count})
-    capsys.readouterr()
-    monkeypatch.setattr(os, "sched_getaffinity", lambda pid: set(range(cpus)))
-    rc = run(["synth", "--config", cfg, "--out", str(tmp_path / out)])
-    return rc, tmp_path / out, capsys.readouterr().err.splitlines()
-
-
-class TestSynthProcesses:
-    @pytest.mark.parametrize("count", [1, 2, 3, 5])
-    @pytest.mark.parametrize("cpus", [1, 2, 3])
-    def test_outputs_equal_the_one_core_run(self, tmp_path, capsys, monkeypatch, cpus, count):
-        rc, serial, err = synth_run(tmp_path, capsys, count, 1, monkeypatch, "serial")
-        assert (rc, err) == (0, [])
-        rc, forked, err = synth_run(tmp_path, capsys, count, cpus, monkeypatch, "forked")
-        assert (rc, err) == (0, [])
-        assert len(list(forked.iterdir())) == 3 * count + 1
-        assert tree_digest(forked) == tree_digest(serial)
-        assert multiprocessing.active_children() == []
-
-    @pytest.mark.parametrize("cpus", [1, 3])
-    def test_first_error_in_scene_order_fails_the_command(self, tmp_path, capsys, monkeypatch,
-                                                          cpus):
-        from reldepth import cli
-
-        real_save = cli.save_pfm
-
-        def save_pfm(dmap, path):
-            # shares of 5 scenes on 3 cores: {0, 3} here, {1, 4} and {2} in children
-            if path.name in ("gt_002.pfm", "gt_004.pfm"):
-                raise OSError(f"cannot write {path.name}")
-            if path.name == "gt_003.pfm":
-                raise ValueError("bad scene 3")
-            real_save(dmap, path)
-
-        monkeypatch.setattr(cli, "save_pfm", save_pfm)
-        rc, out, err = synth_run(tmp_path, capsys, 5, cpus, monkeypatch)
-        assert (rc, err) == (2, ["error: cannot write gt_002.pfm"])
-        assert not (out / "manifest.json").exists()
-        assert multiprocessing.active_children() == []
-
-    def test_dead_worker_fails_the_command(self, tmp_path, capsys, monkeypatch):
-        from reldepth import cli
-
-        parent, real_generate = os.getpid(), cli.generate_stereogram
-
-        def generate_stereogram(spec):
-            if os.getpid() != parent:
-                os._exit(9)
-            return real_generate(spec)
-
-        monkeypatch.setattr(cli, "generate_stereogram", generate_stereogram)
-        rc, out, err = synth_run(tmp_path, capsys, 3, 2, monkeypatch)
-        assert (rc, err) == (2, ["error: synth worker exited 9"])
-        assert not (out / "manifest.json").exists()
-        assert multiprocessing.active_children() == []
-
-    def test_error_in_own_share_stops_the_children(self, tmp_path, capsys, monkeypatch):
-        from reldepth import cli
-
-        parent = os.getpid()
-
-        def generate_stereogram(spec):
-            if os.getpid() == parent:
-                raise RuntimeError("parent share failed")
-            time.sleep(60)
-
-        monkeypatch.setattr(cli, "generate_stereogram", generate_stereogram)
-        start = time.perf_counter()
-        with pytest.raises(RuntimeError, match="parent share failed"):
-            synth_run(tmp_path, capsys, 3, 3, monkeypatch)
-        assert time.perf_counter() - start < 30
-        assert multiprocessing.active_children() == []
-
-
 class TestStereoAndPairs:
     def test_zero_disparity_scene_matches_zero(self, tmp_path):
         cfg = write_config(tmp_path, **{
@@ -270,33 +194,188 @@ class TestStereoAndPairs:
         assert not (tmp_path / "out").exists()
 
 
-def stereo_run(tmp_path, capsys, count, cpus, monkeypatch, out="disp"):
-    """synth count scenes unless tmp_path has them, then stereo them seeing
-    cpus usable cores, so the forked path runs on any machine; returns (exit
-    code, output directory, stderr lines of the stereo command)."""
-    cfg = write_config(tmp_path, **{"synth.count": count})
-    synth_dir = tmp_path / "synth"
-    if not synth_dir.exists():
-        assert run(["synth", "--config", cfg, "--out", str(synth_dir)]) == 0
-    capsys.readouterr()
+def see_cpus(monkeypatch, cpus):
     monkeypatch.setattr(os, "sched_getaffinity", lambda pid: set(range(cpus)))
-    rc = run(["stereo", "--config", cfg, "--in", str(synth_dir), "--out", str(tmp_path / out)])
+
+
+def scene_args(tmp_path, command, count):
+    """The arguments, all but --out, that run command over count scenes,
+    making under tmp_path the inputs it reads unless they are there: synth
+    scenes for every command but synth, their ground-truth pairs for whdr,
+    a fresh 8-bin classifier for eval (its norms calibrate on the first scene
+    it scores) and a ranking net with calibrated norms for whdr. A test that
+    patches a function the set-up may call makes the inputs first."""
+    from dataclasses import replace
+
+    from reldepth.cli import load_config
+    from reldepth.network import CLASSIFICATION, DepthNet, save_checkpoint
+
+    cfg = write_config(tmp_path, **{"synth.count": count})
+    data, pairs, ckpt = tmp_path / "synth", tmp_path / "pairs", tmp_path / f"{command}.ckpt"
+    if command != "synth" and not data.exists():
+        assert run(["synth", "--config", cfg, "--out", str(data)]) == 0
+    if command == "whdr" and not pairs.exists():
+        assert run(["pairs", "--config", cfg, "--in", str(data), "--out", str(pairs)]) == 0
+    if command in ("eval", "whdr") and not ckpt.exists():
+        net = DepthNet(load_config(cfg).net)
+        if command == "eval":
+            net = DepthNet(replace(net.config, head_mode=CLASSIFICATION, head_channels=8))
+        else:
+            net.forward(np.random.default_rng(0).random((2, 3, 32, 32)))
+        save_checkpoint(net, ckpt)
+    inputs = {"synth": [], "stereo": ["--in", data], "pairs": ["--in", data],
+              "eval": ["--data", data, "--ckpt", ckpt],
+              "whdr": ["--data", data, "--pairs", pairs, "--ckpt", ckpt]}[command]
+    return [command, "--config", cfg, *map(str, inputs)]
+
+
+def scene_run(tmp_path, capsys, monkeypatch, command, count, cpus, out="out"):
+    """Run command over count scenes seeing cpus usable cores, so the forked
+    path runs on any machine; returns (exit code, output directory, stderr
+    lines of the command)."""
+    args = scene_args(tmp_path, command, count)
+    capsys.readouterr()
+    see_cpus(monkeypatch, cpus)
+    rc = run([*args, "--out", str(tmp_path / out)])
     return rc, tmp_path / out, capsys.readouterr().err.splitlines()
 
 
-class TestStereoProcesses:
+def in_children(monkeypatch, target, dies_on_call=1, exit_code=9):
+    """Patch the function at the dotted path target so that its dies_on_call-th
+    call in a forked child ends the child: by os._exit(exit_code) for exit
+    code 9, else by an exception that is no scene failure (exit code 1)."""
+    parent, real, calls = os.getpid(), pkgutil.resolve_name(target), []
+
+    def patched(*args, **kwargs):
+        if os.getpid() != parent:
+            calls.append(1)
+            if len(calls) == dies_on_call:
+                if exit_code == 9:
+                    os._exit(9)
+                raise RuntimeError("not a scene failure")
+        return real(*args, **kwargs)
+
+    monkeypatch.setattr(target, patched)
+
+
+class SceneCommand:
+    """The tests every per-scene command passes. A subclass names the
+    command, the function the command calls once per scene (a dotted path
+    that tests patch) and the file listing its scenes, with the list's key."""
+
+    command = per_scene = listing = None
+
     @pytest.mark.parametrize("count", [1, 2, 3, 5])
     @pytest.mark.parametrize("cpus", [1, 2, 3])
-    def test_outputs_equal_in_process_matching(self, tmp_path, capsys, monkeypatch,
-                                               cpus, count):
+    def test_outputs_equal_the_one_core_run(self, tmp_path, capsys, monkeypatch, cpus, count):
+        rc, serial, err = scene_run(tmp_path, capsys, monkeypatch, self.command, count, 1,
+                                    "serial")
+        assert (rc, err) == (0, [])
+        rc, forked, err = scene_run(tmp_path, capsys, monkeypatch, self.command, count, cpus,
+                                    "forked")
+        assert (rc, err) == (0, [])
+        name, key = self.listing
+        scenes = json.loads((forked / name).read_text())[key]
+        assert [scene["index"] for scene in scenes] == list(range(count))
+        # and the files a manifest entry names are there
+        assert all((forked / v).is_file() for scene in scenes for v in scene.values()
+                   if isinstance(v, str))
+        assert tree_digest(forked) == tree_digest(serial)
+        assert multiprocessing.active_children() == []
+
+    def test_error_in_own_share_stops_the_children(self, tmp_path, capsys, monkeypatch):
+        parent, real = os.getpid(), pkgutil.resolve_name(self.per_scene)
+
+        def patched(*args, **kwargs):
+            if os.getpid() == parent:
+                raise RuntimeError("parent share failed")
+            time.sleep(60)
+            return real(*args, **kwargs)
+
+        scene_args(tmp_path, self.command, 3)
+        monkeypatch.setattr(self.per_scene, patched)
+        start = time.perf_counter()
+        with pytest.raises(RuntimeError, match="parent share failed"):
+            scene_run(tmp_path, capsys, monkeypatch, self.command, 3, 3)
+        assert time.perf_counter() - start < 30
+        assert multiprocessing.active_children() == []
+
+
+class AllScenesOrNone(SceneCommand):
+    """A command whose first failing scene, in scene order, fails it with
+    exit 2 and leaves its output file unwritten."""
+
+    def test_dead_worker_fails_the_command(self, tmp_path, capsys, monkeypatch):
+        scene_args(tmp_path, self.command, 3)
+        in_children(monkeypatch, self.per_scene)
+        rc, out, err = scene_run(tmp_path, capsys, monkeypatch, self.command, 3, 2)
+        assert (rc, err) == (2, [f"error: {self.command} worker exited 9"])
+        assert not (out / self.listing[0]).exists()
+        assert multiprocessing.active_children() == []
+
+
+class EachSceneOnItsOwn(SceneCommand):
+    """A command that lists a failing scene in its manifest and works the
+    others (cli._scene_loop)."""
+
+    @pytest.mark.parametrize("dies_on_call, exit_code, failed", [
+        (1, 9, [1, 2, 4]),  # each child dies on its first scene, by os._exit(9)
+        (2, 1, [4]),  # the child with two scenes raises on its second
+    ])
+    def test_dead_worker_fails_the_scenes_it_did_not_report(
+            self, tmp_path, capsys, monkeypatch, dies_on_call, exit_code, failed):
+        scene_args(tmp_path, self.command, 5)
+        in_children(monkeypatch, self.per_scene, dies_on_call, exit_code)
+        # shares of 5 scenes on 3 cores: {0, 3} here, {1, 4} and {2} in children
+        rc, out, err = scene_run(tmp_path, capsys, monkeypatch, self.command, 5, 3)
+        manifest = json.loads((out / "manifest.json").read_text())
+        lost = f"{self.command} worker exited {exit_code}"
+        assert rc == 2
+        assert manifest["failures"] == [{"index": i, "error": lost} for i in failed]
+        assert [e["index"] for e in manifest["scenes"]] == sorted({0, 1, 2, 3, 4} - set(failed))
+        assert err == [f"scene {i}: {lost}" for i in failed]
+        assert multiprocessing.active_children() == []
+
+
+class TestSynthProcesses(AllScenesOrNone):
+    command, per_scene = "synth", "reldepth.cli.generate_stereogram"
+    listing = "manifest.json", "scenes"
+
+    @pytest.mark.parametrize("cpus", [1, 3])
+    def test_first_error_in_scene_order_fails_the_command(self, tmp_path, capsys, monkeypatch,
+                                                          cpus):
+        from reldepth import cli
+
+        real_save = cli.save_pfm
+
+        def save_pfm(dmap, path):
+            # shares of 5 scenes on 3 cores: {0, 3} here, {1, 4} and {2} in children
+            if path.name in ("gt_002.pfm", "gt_004.pfm"):
+                raise OSError(f"cannot write {path.name}")
+            if path.name == "gt_003.pfm":
+                raise ValueError("bad scene 3")
+            real_save(dmap, path)
+
+        monkeypatch.setattr(cli, "save_pfm", save_pfm)
+        rc, out, err = scene_run(tmp_path, capsys, monkeypatch, "synth", 5, cpus)
+        assert (rc, err) == (2, ["error: cannot write gt_002.pfm"])
+        assert not (out / "manifest.json").exists()
+        assert multiprocessing.active_children() == []
+
+
+class TestStereoProcesses(EachSceneOnItsOwn):
+    command, per_scene = "stereo", "reldepth.stereo.match_pair"
+    listing = "manifest.json", "scenes"
+
+    def test_outputs_equal_direct_matching(self, tmp_path, capsys, monkeypatch):
         from reldepth import stereo
         from reldepth.cli import load_config
         from reldepth.imagery import load_image, save_pfm
 
-        rc, out, err = stereo_run(tmp_path, capsys, count, cpus, monkeypatch)
+        rc, out, err = scene_run(tmp_path, capsys, monkeypatch, "stereo", 5, 3)
         assert (rc, err) == (0, [])
-        cfg = load_config(write_config(tmp_path, **{"synth.count": count}))
-        names = [f"disp_{i:03d}.pfm" for i in range(count)]
+        cfg = load_config(write_config(tmp_path, **{"synth.count": 5}))
+        names = [f"disp_{i:03d}.pfm" for i in range(5)]
         expected = {"kind": "disparity", "d_max": 8, "failures": [],
                     "scenes": [{"index": i, "disparity": n} for i, n in enumerate(names)]}
         assert (out / "manifest.json").read_text() == json.dumps(
@@ -307,7 +386,6 @@ class TestStereoProcesses:
             save_pfm(stereo.match_pair(left, right, cfg.sgm_params, bilsub_params=cfg.bilsub,
                                        median_radius=cfg.median_radius), tmp_path / name)
             assert (out / name).read_bytes() == (tmp_path / name).read_bytes()
-        assert multiprocessing.active_children() == []
 
     @pytest.mark.parametrize("cpus", [2, 3])
     def test_failed_scenes_report_as_in_process(self, tmp_path, capsys, monkeypatch, cpus):
@@ -316,60 +394,43 @@ class TestStereoProcesses:
         # scene 1 is in a child's share, scene 2 in the parent's or a child's
         (tmp_path / "synth" / "left_001.ppm").write_bytes(b"P6\n4 4\n255\n")
         (tmp_path / "synth" / "right_002.ppm").unlink()
-        rc, serial, serial_err = stereo_run(tmp_path, capsys, 3, 1, monkeypatch, "serial")
+        rc, serial, serial_err = scene_run(tmp_path, capsys, monkeypatch, "stereo", 3, 1,
+                                           "serial")
         assert rc == 2 and len(serial_err) == 2
         assert serial_err[0].startswith("scene 1:") and serial_err[1].startswith("scene 2:")
-        rc, forked, forked_err = stereo_run(tmp_path, capsys, 3, cpus, monkeypatch, "forked")
+        rc, forked, forked_err = scene_run(tmp_path, capsys, monkeypatch, "stereo", 3, cpus,
+                                           "forked")
         assert (rc, forked_err) == (2, serial_err)
         assert (forked / "manifest.json").read_bytes() == (serial / "manifest.json").read_bytes()
         assert (forked / "disp_000.pfm").read_bytes() == (serial / "disp_000.pfm").read_bytes()
 
-    @pytest.mark.parametrize("dies_on_call, exit_code, failed", [
-        (1, 9, [1, 2, 4]),  # each child dies on its first scene, by os._exit(9)
-        (2, 1, [4]),  # the child with two scenes raises on its second
-    ])
-    def test_dead_worker_fails_the_scenes_it_did_not_report(
-            self, tmp_path, capsys, monkeypatch, dies_on_call, exit_code, failed):
-        from reldepth import stereo
 
-        parent, real_match, calls = os.getpid(), stereo.match_pair, []
+class TestPairsProcesses(EachSceneOnItsOwn):
+    command, per_scene = "pairs", "reldepth.cli.sample_pairs"
+    listing = "manifest.json", "scenes"
 
-        def match_pair(*args, **kwargs):
-            if os.getpid() != parent:
-                calls.append(1)
-                if len(calls) == dies_on_call:
-                    if exit_code == 9:
-                        os._exit(9)
-                    raise RuntimeError("not a scene failure")
-            return real_match(*args, **kwargs)
 
-        monkeypatch.setattr(stereo, "match_pair", match_pair)
-        # shares of 5 scenes on 3 cores: {0, 3} here, {1, 4} and {2} in children
-        rc, out, err = stereo_run(tmp_path, capsys, 5, 3, monkeypatch)
-        manifest = json.loads((out / "manifest.json").read_text())
-        assert rc == 2
-        assert manifest["failures"] == [
-            {"index": i, "error": f"stereo worker exited {exit_code}"} for i in failed]
-        assert [e["index"] for e in manifest["scenes"]] == sorted({0, 1, 2, 3, 4} - set(failed))
-        assert err == [f"scene {i}: stereo worker exited {exit_code}" for i in failed]
-        assert multiprocessing.active_children() == []
+class TestEvalProcesses(AllScenesOrNone):
+    command, per_scene = "eval", "reldepth.cli.evaluate"
+    listing = "metrics.json", "per_scene"
 
-    def test_error_in_own_share_stops_the_children(self, tmp_path, capsys, monkeypatch):
-        from reldepth import stereo
 
-        parent = os.getpid()
+class TestWhdrProcesses(AllScenesOrNone):
+    command, per_scene = "whdr", "reldepth.cli.whdr"
+    listing = "whdr.json", "per_scene"
 
-        def match_pair(*args, **kwargs):
-            if os.getpid() == parent:
-                raise RuntimeError("parent share failed")
-            time.sleep(60)
 
-        monkeypatch.setattr(stereo, "match_pair", match_pair)
-        start = time.perf_counter()
-        with pytest.raises(RuntimeError, match="parent share failed"):
-            stereo_run(tmp_path, capsys, 3, 3, monkeypatch)
-        assert time.perf_counter() - start < 30
-        assert multiprocessing.active_children() == []
+def test_every_process_of_a_share_runs_one_blas_thread(monkeypatch):
+    from reldepth import cli, workers
+
+    threads = workers._openblas_threads()
+    if threads is None:
+        pytest.skip("numpy carries no OpenBLAS thread setter")
+    get, _ = threads
+    before = get()
+    see_cpus(monkeypatch, 3)
+    assert cli._in_shares(list(range(5)), lambda scene: get(), "test worker") == [(1, None)] * 5
+    assert get() == before
 
 
 # batch 4 splits into 1, 2 or 3 shares; augmentation draws in every share
@@ -378,10 +439,6 @@ FOUR_SAMPLE_BATCHES = {
     "train.finetune.batch_size": 4, "train.finetune.total_iterations": 3,
     "train.finetune.augment": {"enabled": True},
 }
-
-
-def see_cpus(monkeypatch, cpus):
-    monkeypatch.setattr(os, "sched_getaffinity", lambda pid: set(range(cpus)))
 
 
 def synth_and_pairs(tmp_path, **overrides):
