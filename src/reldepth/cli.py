@@ -391,11 +391,12 @@ def cmd_synth(cfg: PipelineConfig, out_dir):
 def _every_scene(scenes, work, name, net=None):
     """work(scene) for each scene, in scene order, worked in _in_shares(...,
     name); the first failure in scene order raises ValueError with its text.
-    A norm of the net work predicts with, if any, that no training calibrated
-    takes its statistics from the first image it sees, so the first scene is
-    worked once before the fork, as in one process."""
-    if net is not None and scenes and not all(n.calibrated for _, n in net.named_norms()):
-        work(scenes[0])
+    The net work predicts with, if any, is refused before any scene if a norm
+    of it is uncalibrated: that norm would take its statistics from the first
+    scene it scores, fitting the net to the data it is scored on."""
+    for norm_name, norm in net.named_norms() if net is not None else ():
+        if not norm.calibrated:
+            raise ValueError(f"norm {norm_name} of the net was calibrated by no training step")
     outcomes = _in_shares(scenes, work, name)
     for _, error in outcomes:
         if error is not None:
@@ -455,12 +456,11 @@ def _in_shares(scenes, work, name):
         outcomes = [None] * len(scenes)
         outcomes[0::shares] = [attempt(scene) for scene in scenes[0::shares]]
         for k, child in enumerate(children, 1):
-            lost = None  # the outcome of each scene left once the child died
             for i in range(k, len(scenes), shares):
                 try:
-                    outcomes[i] = lost or child.recv()
-                except workers.WorkerExited as exc:
-                    outcomes[i] = lost = (None, str(exc))
+                    outcomes[i] = child.recv()
+                except workers.WorkerExited as exc:  # raised again for each later scene
+                    outcomes[i] = None, str(exc)
         return outcomes
 
 

@@ -10,10 +10,8 @@ A pair set is a (K, 5) int64 array with one row row_i, col_i, row_j, col_j, r
 per pair, the layout of the pair CSV. Every stage works on the whole array.
 """
 
-import io
 from collections import namedtuple
 from dataclasses import dataclass
-from itertools import compress
 
 import numpy as np
 
@@ -45,18 +43,19 @@ class PairSet:
     """A checked pair set: ``rows`` is a read-only (K, 5) int64 array.
 
     np.asarray(pair_set) is the rows without a copy, len() is K, and
-    iterating yields one OrdinalPair per row.
+    iterating yields one OrdinalPair per row. A row that is not a pair is a
+    ValueError naming where(k), "pair k" by default.
     """
 
     __slots__ = ("rows",)
 
-    def __init__(self, rows):
+    def __init__(self, rows, where=lambda k: f"pair {k}"):
         rows = np.array(rows, dtype=np.int64)
         if rows.size == 0:
             rows = rows.reshape(0, 5)
         if rows.ndim != 2 or rows.shape[1] != 5:
             raise ValueError(f"pair rows must have shape (K, 5), got {rows.shape}")
-        _check_rows(rows, lambda k: f"pair {k}")
+        _check_rows(rows, where)
         rows.flags.writeable = False
         self.rows = rows
 
@@ -192,8 +191,6 @@ def save_pairs_csv(pairs, path):
 # each relation's text, in value order from FARTHER
 _R_TEXT = ["-1\r\n", "0\r\n", "1\r\n"]
 _INT_FIELDS = {"delimiter": ",", "dtype": np.int64, "comments": None, "ndmin": 2}
-# the bytes a file the writer made can hold
-_WRITER_BYTES = b"0123456789,-\r\n"
 
 
 def _five_ints(line):
@@ -204,34 +201,23 @@ def _five_ints(line):
 
 
 def load_pairs_csv(path):
-    """The PairSet a pair CSV holds. Blank lines are skipped; any other line
-    that is not five integer fields forming a pair is an error naming
-    path:line.
-
-    A file of nothing but digits, commas, minus signs and line ends is
-    parsed whole in one loadtxt call; one that fails that parse or its
-    checks, and any other file, is read line by line for the same rows or
-    the same error."""
-    with open(path, "rb") as fh:
-        data = fh.read()
-    if data.strip(b"\r\n") and not data.translate(None, _WRITER_BYTES):
-        try:
-            return PairSet(np.loadtxt(data.decode("ascii").splitlines(), **_INT_FIELDS))
-        except (ValueError, OverflowError):
-            pass
-    # decoded as open(path, newline="") would
-    lines = io.TextIOWrapper(io.BytesIO(data), newline="").read().splitlines()
-    nonblank = np.fromiter(map(bool, lines), bool, len(lines))
-    linenos = np.flatnonzero(nonblank) + 1
-    lines = list(compress(lines, nonblank))
-    if not lines:
+    """The PairSet a pair CSV holds, decoded as open(path, newline="") would.
+    Blank lines are skipped; any other line that is not five integer fields
+    forming a pair is an error naming path:line. Every line goes to one
+    loadtxt call, and lines are numbered only to name an error."""
+    with open(path, newline="") as fh:  # one decode of all bytes beats a text-mode read
+        lines = fh.buffer.read().decode(fh.encoding).splitlines()
+    if not any(lines):
         return PairSet([])
     try:
         rows = np.loadtxt(lines, **_INT_FIELDS)
     except (ValueError, OverflowError):
         rows = None
-    if rows is None or rows.shape != (len(lines), 5):
-        k = np.flatnonzero(~np.fromiter(map(_five_ints, lines), bool, len(lines)))[0]
-        raise ValueError(f"{path}:{linenos[k]}: expected 5 integer fields, got {lines[k]!r}")
-    _check_rows(rows, lambda k: f"{path}:{linenos[k]}")
-    return PairSet(rows)
+
+    def numbered():
+        return [(n, line) for n, line in enumerate(lines, 1) if line]
+
+    if rows is None or rows.shape[1] != 5:
+        n, line = next((n, line) for n, line in numbered() if not _five_ints(line))
+        raise ValueError(f"{path}:{n}: expected 5 integer fields, got {line!r}")
+    return PairSet(rows, lambda k: f"{path}:{numbered()[k][0]}")

@@ -2,14 +2,18 @@
 whole-array code in reldepth.ordinal, reldepth.losses and
 reldepth.network.training. Pairs are any iterable of 5-sequences
 (row_i, col_i, row_j, col_j, r); results are lists of 5-tuples of ints.
+load_pairs_csv is the line-by-line pair CSV reader, kept as the reference
+for reldepth.ordinal.load_pairs_csv.
 """
 
 import csv
 import io
+from itertools import compress
 
 import numpy as np
 
 from reldepth.losses import sigmoid, softplus
+from reldepth.ordinal import PairSet, _check_rows
 
 
 def relation(v_i, v_j, threshold, larger_is_closer):
@@ -107,3 +111,37 @@ def pairs_csv_bytes(pairs):
     for row in pairs:
         writer.writerow([int(v) for v in row])
     return buf.getvalue().encode()
+
+
+_INT_FIELDS = {"delimiter": ",", "dtype": np.int64, "comments": None, "ndmin": 2}
+
+
+def _five_ints(line):
+    try:
+        return np.loadtxt([line], **_INT_FIELDS).shape == (1, 5)
+    except (ValueError, OverflowError):
+        return False
+
+
+def load_pairs_csv(path):
+    """Decode as open(path, newline="") would, split the lines, drop the
+    blank ones with their line numbers kept, parse the rest in one loadtxt
+    call, and on a failure find the first line that is not five integers."""
+    with open(path, "rb") as fh:
+        data = fh.read()
+    # decoded as open(path, newline="") would
+    lines = io.TextIOWrapper(io.BytesIO(data), newline="").read().splitlines()
+    nonblank = np.fromiter(map(bool, lines), bool, len(lines))
+    linenos = np.flatnonzero(nonblank) + 1
+    lines = list(compress(lines, nonblank))
+    if not lines:
+        return PairSet([])
+    try:
+        rows = np.loadtxt(lines, **_INT_FIELDS)
+    except (ValueError, OverflowError):
+        rows = None
+    if rows is None or rows.shape != (len(lines), 5):
+        k = np.flatnonzero(~np.fromiter(map(_five_ints, lines), bool, len(lines)))[0]
+        raise ValueError(f"{path}:{linenos[k]}: expected 5 integer fields, got {lines[k]!r}")
+    _check_rows(rows, lambda k: f"{path}:{linenos[k]}")
+    return PairSet(rows)

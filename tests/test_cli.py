@@ -202,9 +202,10 @@ def scene_args(tmp_path, command, count):
     """The arguments, all but --out, that run command over count scenes,
     making under tmp_path the inputs it reads unless they are there: synth
     scenes for every command but synth, their ground-truth pairs for whdr,
-    a fresh 8-bin classifier for eval (its norms calibrate on the first scene
-    it scores) and a ranking net with calibrated norms for whdr. A test that
-    patches a function the set-up may call makes the inputs first."""
+    and an 8-bin classifier for eval and a ranking net for whdr, each with
+    its norms calibrated by one forward, as eval and whdr refuse a net with
+    an uncalibrated norm. A test that patches a function the set-up may call
+    makes the inputs first."""
     from dataclasses import replace
 
     from reldepth.cli import load_config
@@ -220,8 +221,7 @@ def scene_args(tmp_path, command, count):
         net = DepthNet(load_config(cfg).net)
         if command == "eval":
             net = DepthNet(replace(net.config, head_mode=CLASSIFICATION, head_channels=8))
-        else:
-            net.forward(np.random.default_rng(0).random((2, 3, 32, 32)))
+        net.forward(np.random.default_rng(0).random((2, 3, 32, 32)))
         save_checkpoint(net, ckpt)
     inputs = {"synth": [], "stereo": ["--in", data], "pairs": ["--in", data],
               "eval": ["--data", data, "--ckpt", ckpt],
@@ -418,6 +418,43 @@ class TestEvalProcesses(AllScenesOrNone):
 class TestWhdrProcesses(AllScenesOrNone):
     command, per_scene = "whdr", "reldepth.cli.whdr"
     listing = "whdr.json", "per_scene"
+
+
+@pytest.mark.parametrize("command, stage, per_scene, output, norm", [
+    # a finetune re-heads the pretrained net; a 0-iteration one never calibrates the new norm
+    ("eval", "finetune", "reldepth.cli.evaluate", "metrics.json", "final.norm"),
+    # a 0-iteration pretrain saves the fresh net, no norm calibrated
+    ("whdr", "pretrain", "reldepth.cli.whdr", "whdr.json", "stage0.block0.norm1"),
+])
+def test_uncalibrated_net_is_refused_before_any_scene(tmp_path, capsys, monkeypatch, command,
+                                                      stage, per_scene, output, norm):
+    cfg, data, pairs = synth_and_pairs(
+        tmp_path, **{"synth.count": 3, f"train.{stage}.total_iterations": 0})
+    pre, fine = tmp_path / "pre", tmp_path / "fine"
+    assert run(["pretrain", "--config", cfg, "--data", data, "--pairs", pairs,
+                "--out", str(pre)]) == 0
+    ckpt = pre / "model.ckpt"
+    if stage == "finetune":
+        assert run(["finetune", "--config", cfg, "--data", data, "--out", str(fine),
+                    "--resume", str(ckpt)]) == 0
+        ckpt = fine / "model.ckpt"
+
+    def called(*args, **kwargs):
+        (tmp_path / f"called-{os.getpid()}").touch()
+        raise AssertionError("a scene was worked")
+
+    monkeypatch.setattr(per_scene, called)
+    see_cpus(monkeypatch, 3)
+    inputs = ["--pairs", pairs] if command == "whdr" else []
+    out = tmp_path / "out"
+    capsys.readouterr()
+    assert run([command, "--config", cfg, "--data", data, *inputs, "--ckpt", str(ckpt),
+                "--out", str(out)]) == 2
+    assert capsys.readouterr().err == (
+        f"error: norm {norm} of the net was calibrated by no training step\n")
+    assert not (out / output).exists()
+    assert list(tmp_path.glob("called-*")) == []
+    assert multiprocessing.active_children() == []
 
 
 def test_every_process_of_a_share_runs_one_blas_thread(monkeypatch):
@@ -987,7 +1024,9 @@ class TestTrainEvalCommands:
         (Path(d["pairs"]) / "pairs_000.csv").write_text("0,0,1,1,0\n2,2,0,5,0\n")
         ckpt = Path(d["pre"]) / "model.ckpt"
         ckpt.parent.mkdir()
-        save_checkpoint(DepthNet(load_config(cfg).net), ckpt, iteration=0)
+        net = DepthNet(load_config(cfg).net)
+        net.forward(np.random.default_rng(0).random((2, 3, 32, 32)))  # calibrates the norms
+        save_checkpoint(net, ckpt, iteration=0)
         assert run(["whdr", "--config", cfg, "--data", d["synth"], "--pairs", d["pairs"],
                     "--ckpt", str(ckpt), "--out", d["whdr"]]) == 2
         assert "scene 0: no pairs left to score" in capsys.readouterr().err
@@ -1082,6 +1121,7 @@ class TestTrainEvalCommands:
         cfg, data, _ = synth_and_pairs(tmp_path)  # bins.B is 8
         ckpt = tmp_path / "five.ckpt"
         net = DepthNet(replace(load_config(cfg).net, head_mode=CLASSIFICATION, head_channels=5))
+        net.forward(np.random.default_rng(0).random((2, 3, 32, 32)))  # calibrates the norms
         save_checkpoint(net, ckpt, iteration=2)
         capsys.readouterr()
         assert run(["eval", "--config", cfg, "--data", data, "--ckpt", str(ckpt),
