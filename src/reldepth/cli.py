@@ -493,31 +493,12 @@ def cmd_pairs(cfg: PipelineConfig, in_dir, out_dir):
                        kind="pairs", count=cfg.pair_cfg.count)
 
 
-def _cut_log(path, iteration):
-    """Rewrite the training log at path, if there is one, keeping only the
-    whole records of iterations before iteration."""
-    if not path.is_file():
-        return
-    kept = []
-    for line in path.read_text().split("\n"):
-        try:
-            record = json.loads(line)
-        except json.JSONDecodeError:
-            continue
-        if isinstance(record, dict) and type(record.get("iter")) is int \
-                and record["iter"] < iteration:
-            kept.append(line + "\n")
-    with _atomic_write(path, "w") as fh:
-        fh.writelines(kept)
-
-
 @contextmanager
 def _log_writer(path, start_iteration):
     """Yield a log_fn that writes each record as a JSON line to the training
-    log at path. The log is opened at the first record, or when the block
-    ends if it wrote none: restarted when start_iteration is 0, else cut
-    back to the records before start_iteration and appended to. So a block
-    that raises before its first record leaves the log as it was."""
+    log at path, opened by _open_log at the first record, or when the block
+    ends if it wrote none. So a block that raises before its first record
+    leaves the log as it was."""
     fh = None
 
     def write(record):
@@ -535,9 +516,21 @@ def _log_writer(path, start_iteration):
 
 
 def _open_log(path, start_iteration):
-    if start_iteration == 0:
-        return open(path, "w")
-    _cut_log(path, start_iteration)
+    """Rewrite the training log at path to hold only the whole records of
+    iterations before start_iteration, then open it for appending. A fresh
+    stage (start_iteration 0) keeps none and never reads the old log."""
+    kept = []
+    if start_iteration > 0 and path.is_file():
+        for line in path.read_text().split("\n"):
+            try:
+                record = json.loads(line)
+            except json.JSONDecodeError:
+                continue
+            if isinstance(record, dict) and type(record.get("iter")) is int \
+                    and record["iter"] < start_iteration:
+                kept.append(line + "\n")
+    with _atomic_write(path, "w") as fh:
+        fh.writelines(kept)
     return open(path, "a")
 
 
@@ -546,11 +539,10 @@ def _train_stage(cfg: PipelineConfig, stage, out_dir, resume, continues, trainer
     """Run trainer(net, *args, schedule, ...) for one stage ("pretrain" or
     "finetune") on a fresh net or the resume checkpoint's, then save
     model.ckpt. When continues(net) holds for a checkpoint, training picks up
-    at its iteration and <stage>_log.jsonl is appended to, not restarted,
-    once it is cut back to the records before that iteration: a run that
-    died after logging past its checkpoint leaves no duplicate or partial
-    line. A stage that fails before its first record leaves the log and the
-    checkpoint as they were (see _log_writer)."""
+    at its iteration and <stage>_log.jsonl keeps the records before it (see
+    _open_log): a run that died after logging past its checkpoint leaves no
+    duplicate or partial line. A stage that fails before its first record
+    leaves the log and the checkpoint as they were (see _log_writer)."""
     net, iteration = (DepthNet(cfg.net), 0) if resume is None else load_checkpoint(resume)
     for field in RESUME_FIELDS:
         have, want = getattr(net.config, field), getattr(cfg.net, field)

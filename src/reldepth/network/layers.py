@@ -22,10 +22,6 @@ class Tensor:
         self.values = np.asarray(values, dtype=np.float64)
         self.grad = np.zeros_like(self.values)
 
-    @property
-    def shape(self):
-        return self.values.shape
-
     def zero_grad(self):
         self.grad[...] = 0.0
 

@@ -111,10 +111,6 @@ class DepthNet:
     def head(self):
         return self.layers[-1][1]
 
-    @property
-    def final_norm(self):
-        return self.layers[-3][1]
-
     # ---- parameter plumbing -------------------------------------------------
 
     def _leaves(self):
@@ -162,7 +158,7 @@ class DepthNet:
 
     # ---- head surgery -------------------------------------------------------
 
-    def re_head(self, head_mode, head_channels, seed=None):
+    def re_head(self, head_mode, head_channels):
         """Swap the final convolution for a freshly initialized one.
 
         The trunk and the 1x1 hidden convolutions are kept; only the last
@@ -171,12 +167,10 @@ class DepthNet:
         next batch: trunk activations drift during training, and a fresh
         layer expects freshly standardized inputs.
         """
-        if seed is None:
-            seed = self.config.seed + 1
         self.config = replace(self.config, head_mode=head_mode,
                               head_channels=head_channels)
         self.layers[-3:] = _head_layers(self.head.in_channels, head_channels,
-                                        np.random.default_rng(seed))
+                                        np.random.default_rng(self.config.seed + 1))
 
 
 def check_batch(images):

@@ -78,10 +78,9 @@ class SgmParams:
             raise ValueError("duplicate directions")
 
     @classmethod
-    def defaults(cls, channels=3, d_max=16, directions=DIRECTIONS_8):
+    def defaults(cls, channels=3, d_max=16):
         """Penalties tuned for unit-range intensities, scaled by channel count."""
-        return cls(p1=0.03 * channels, p2=0.24 * channels, d_max=d_max,
-                   directions=directions)
+        return cls(p1=0.03 * channels, p2=0.24 * channels, d_max=d_max)
 
 
 @dataclass

@@ -1099,6 +1099,34 @@ class TestTrainEvalCommands:
         for name in ("model.ckpt", "pretrain_log.jsonl"):
             assert (resumed / name).read_bytes() == (straight / name).read_bytes(), name
 
+    @pytest.mark.parametrize("total", [3, 0])
+    def test_fresh_stage_discards_the_old_log(self, tmp_path, total):
+        configs = {}
+        for t in (6, total):
+            (tmp_path / str(t)).mkdir()
+            configs[t] = write_config(tmp_path / str(t), **{"train.pretrain.total_iterations": t})
+        _, data, pairs = synth_and_pairs(tmp_path)
+        inputs = ["--data", data, "--pairs", pairs]
+        old, empty = tmp_path / "old", tmp_path / "empty"
+        assert run(["pretrain", "--config", configs[6], *inputs, "--out", str(old)]) == 0
+        assert len((old / "pretrain_log.jsonl").read_text().splitlines()) == 6
+        for out in (old, empty):
+            assert run(["pretrain", "--config", configs[total], *inputs, "--out", str(out)]) == 0
+        log = (old / "pretrain_log.jsonl").read_bytes()
+        assert log == (empty / "pretrain_log.jsonl").read_bytes()
+        assert len(log.splitlines()) == total
+
+    def test_fresh_stage_never_reads_the_old_log(self, tmp_path):
+        cfg, data, pairs = synth_and_pairs(tmp_path)
+        inputs = ["--config", cfg, "--data", data, "--pairs", pairs]
+        old, empty = tmp_path / "old", tmp_path / "empty"
+        old.mkdir()
+        (old / "pretrain_log.jsonl").write_bytes(b"\xff\xfe\n")  # not UTF-8
+        for out in (old, empty):
+            assert run(["pretrain", *inputs, "--out", str(out)]) == 0
+        log = (old / "pretrain_log.jsonl").read_bytes()
+        assert log == (empty / "pretrain_log.jsonl").read_bytes() and log
+
     @pytest.mark.parametrize("iteration", [4, 9])
     def test_resume_at_or_past_the_end_runs_no_step(self, tmp_path, iteration):
         from reldepth.cli import load_config

@@ -1031,8 +1031,9 @@ class TestCheckpoint:
                         if not n.startswith(head_side)}
         net.re_head("classification", 5)
         assert net.config.head_channels == 5
-        assert net.head.weight.shape[0] == 5
-        assert not net.final_norm.calibrated  # restandardizes on the next batch
+        assert net.head.weight.values.shape[0] == 5
+        # the norm feeding the new head restandardizes on the next batch
+        assert not dict(net.named_norms())["final.norm"].calibrated
         for n, t in net.named_params():
             if not n.startswith(head_side):
                 assert np.array_equal(trunk_before[n], t.values), n
