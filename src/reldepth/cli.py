@@ -518,13 +518,15 @@ def _log_writer(path, start_iteration):
 def _open_log(path, start_iteration):
     """Rewrite the training log at path to hold only the whole records of
     iterations before start_iteration, then open it for appending. A fresh
-    stage (start_iteration 0) keeps none and never reads the old log."""
+    stage (start_iteration 0) keeps none and never reads the old log. A line
+    that is not UTF-8 is dropped like any other partial line."""
     kept = []
     if start_iteration > 0 and path.is_file():
-        for line in path.read_text().split("\n"):
+        for raw in path.read_bytes().splitlines():
             try:
+                line = raw.decode()
                 record = json.loads(line)
-            except json.JSONDecodeError:
+            except (UnicodeDecodeError, json.JSONDecodeError):
                 continue
             if isinstance(record, dict) and type(record.get("iter")) is int \
                     and record["iter"] < start_iteration:

@@ -7,9 +7,12 @@ gradient, into (C, N, H, W) buffers and hands back their (N, C, H, W)
 transposed views, and the other layers only index, slice and combine their
 inputs element by element, so their results keep the memory order they were
 given. Each layer also accepts any other memory order and gives the same
-values. Layers cache whatever their backward pass needs; backward consumes
-the upstream gradient, adds parameter gradients into each Tensor's grad
-slot, and returns the input gradient.
+values. Forward keeps in the layer's ``_cache`` what its backward pass
+needs. Backward reads the cache and drops it, so a layer holds no
+activations once its backward has run; it consumes the upstream gradient,
+adds parameter gradients into each Tensor's grad slot, and returns the input
+gradient. A forward that no backward follows can drop the cache by setting
+``_cache`` to None (see DepthNet.forward).
 """
 
 import numpy as np
@@ -118,7 +121,7 @@ class Conv2d:
         return out.transpose(1, 0, 2, 3)
 
     def backward(self, dout):
-        phases, (n, c, h, w), out_h, out_w = self._cache
+        (phases, (n, c, h, w), out_h, out_w), self._cache = self._cache, None
         k = self.ksize
         m, _, _, _, hq, wq = phases.shape
         dgrid = np.zeros((self.out_channels, n, hq, wq))
@@ -152,17 +155,18 @@ class Conv2d:
 
 class ReLU:
     def __init__(self):
-        self._mask = None
+        self._cache = None
 
     def params(self):
         return []
 
     def forward(self, x):
-        self._mask = x > 0
-        return x * self._mask
+        self._cache = x > 0
+        return x * self._cache
 
     def backward(self, dout):
-        return dout * self._mask
+        mask, self._cache = self._cache, None
+        return dout * mask
 
 
 class MaxPool2:
@@ -196,7 +200,7 @@ class MaxPool2:
         return out
 
     def backward(self, dout):
-        x_shape, arg = self._cache
+        (x_shape, arg), self._cache = self._cache, None
         # dout's memory order is the one forward gave its output, x's own
         dx = np.zeros_like(dout, shape=x_shape)
         for k, (i, j) in enumerate(self.SLOTS):
@@ -253,6 +257,7 @@ class ChannelNorm:
 
     def backward(self, dout):
         centered = self._cache - self.mu[:, None, None]
+        self._cache = None
         centered *= dout
         self.gamma.grad += centered.sum(axis=(0, 2, 3)) / self.sigma
         self.beta.grad += dout.sum(axis=(0, 2, 3))

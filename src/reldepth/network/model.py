@@ -113,9 +113,9 @@ class DepthNet:
 
     # ---- parameter plumbing -------------------------------------------------
 
-    def _leaves(self):
-        """(name, layer) for every layer, residual blocks opened up."""
-        for name, layer in self.layers:
+    def _leaves(self, layers=None):
+        """(name, layer) for every entry of layers (default: all), blocks opened up."""
+        for name, layer in self.layers if layers is None else layers:
             if isinstance(layer, ResidualBlock):
                 yield from ((f"{name}.{n}", leaf) for n, leaf in layer.named_layers())
             else:
@@ -134,8 +134,11 @@ class DepthNet:
 
     # ---- forward / backward -------------------------------------------------
 
-    def forward(self, x):
-        """(N, C, H, W) float64 -> (N, head_channels, H/stride, W/stride)."""
+    def forward(self, x, keep=True):
+        """(N, C, H, W) float64 -> (N, head_channels, H/stride, W/stride).
+        With keep False, for a pass that no backward follows, each entry of
+        layers drops its caches (a residual block its whole branch's) as soon
+        as it returns, so the net saves no activations."""
         x = np.asarray(x, dtype=np.float64)
         if x.ndim != 4 or x.shape[1] != self.config.in_channels:
             raise ValueError(f"expected (N, {self.config.in_channels}, H, W), got {x.shape}")
@@ -144,8 +147,11 @@ class DepthNet:
             raise ValueError(
                 f"input {x.shape[2]}x{x.shape[3]} not divisible by total stride {stride}"
             )
-        for _, layer in self.layers:
-            x = layer.forward(x)
+        for entry in self.layers:
+            x = entry[1].forward(x)
+            if not keep:
+                for _, leaf in self._leaves([entry]):
+                    leaf._cache = None
         return x
 
     def backward(self, dout):
@@ -193,7 +199,7 @@ def predict_scores(net: DepthNet, image: Image):
     """Single-channel head output for one image, as an (h, w) array."""
     if net.config.head_channels != 1:
         raise ValueError("predict_scores needs a 1-channel head")
-    out = net.forward(stack_images([image]))
+    out = net.forward(stack_images([image]), keep=False)
     return out[0, 0]
 
 
@@ -213,7 +219,7 @@ def predict_depth(net: DepthNet, image: Image, scheme: BinningScheme = None) -> 
             raise ValueError(
                 f"scheme has {scheme.bins} bins, head has {net.config.head_channels}"
             )
-        logits = net.forward(stack_images([image]))[0]  # (B, h, w)
+        logits = net.forward(stack_images([image]), keep=False)[0]  # (B, h, w)
         labels = logits.argmax(axis=0) + 1
         coarse = bin_to_depth(labels, scheme)
     elif mode == REGRESSION:

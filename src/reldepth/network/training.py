@@ -222,13 +222,15 @@ def _sgd_loop(net: DepthNet, dataset, schedule: TrainSchedule, seed, sample_loss
     def calibration_pass(k, shares, gather):
         """If a norm is not yet calibrated (a fresh net, a new head), forward
         samples k, k + shares, ... of the first batch, each such norm
-        calling gather(norm, x) on its input x from those samples."""
+        calling gather(norm, x) on its input x from those samples. No
+        backward follows, so the pass saves no activations."""
         if not uncalibrated:
             return
         for norm in uncalibrated:
             norm.gather = functools.partial(gather, norm)
         try:
-            net.forward(stack_images([image for image, _ in draw(iterations[0], k, shares)]))
+            net.forward(stack_images([image for image, _ in draw(iterations[0], k, shares)]),
+                        keep=False)
         finally:
             for norm in uncalibrated:
                 del norm.gather

@@ -1077,7 +1077,11 @@ class TestTrainEvalCommands:
         for name in ("model.ckpt", f"{command}_log.jsonl"):
             assert (resumed / name).read_bytes() == (straight / name).read_bytes(), name
 
-    def test_resume_cuts_the_log_back_to_the_checkpoint(self, tmp_path):
+    @staticmethod
+    def _resume_over_a_longer_log(tmp_path, tail):
+        """Run 3 pretrain iterations, append tail(lines) to their log, where
+        lines are the log lines of a straight 6-iteration run, and resume to 6:
+        the checkpoint and log must have the straight run's bytes."""
         configs = {}
         for total in (3, 6):
             (tmp_path / str(total)).mkdir()
@@ -1088,16 +1092,24 @@ class TestTrainEvalCommands:
         straight, resumed = tmp_path / "straight", tmp_path / "resumed"
         assert run(["pretrain", "--config", configs[6], *inputs, "--out", str(straight)]) == 0
         assert run(["pretrain", "--config", configs[3], *inputs, "--out", str(resumed)]) == 0
-        lines = (straight / "pretrain_log.jsonl").read_text().splitlines(keepends=True)
+        lines = (straight / "pretrain_log.jsonl").read_bytes().splitlines(keepends=True)
         assert len(lines) == 6
-        # a run that died after logging past the checkpoint: iteration 3's
-        # record, which the resumed run writes again, and half of iteration 4's
-        with open(resumed / "pretrain_log.jsonl", "a") as fh:
-            fh.write(lines[3] + lines[4][:len(lines[4]) // 2])
+        with open(resumed / "pretrain_log.jsonl", "ab") as fh:
+            fh.write(tail(lines))
         assert run(["pretrain", "--config", configs[6], *inputs, "--out", str(resumed),
                     "--resume", str(resumed / "model.ckpt")]) == 0
         for name in ("model.ckpt", "pretrain_log.jsonl"):
             assert (resumed / name).read_bytes() == (straight / name).read_bytes(), name
+
+    def test_resume_cuts_the_log_back_to_the_checkpoint(self, tmp_path):
+        # a run that died after logging past the checkpoint: iteration 3's
+        # record, which the resumed run writes again, and half of iteration 4's
+        self._resume_over_a_longer_log(
+            tmp_path, lambda lines: lines[3] + lines[4][:len(lines[4]) // 2])
+
+    def test_resume_drops_a_log_line_that_is_not_utf8(self, tmp_path):
+        self._resume_over_a_longer_log(
+            tmp_path, lambda lines: lines[3] + b"\xff\n" + lines[4][:len(lines[4]) // 2])
 
     @pytest.mark.parametrize("total", [3, 0])
     def test_fresh_stage_discards_the_old_log(self, tmp_path, total):

@@ -814,6 +814,73 @@ def test_no_process_runs_a_whole_batch_pass(monkeypatch):
     assert training < whole_batch_forward
 
 
+def _holding_a_cache(net):
+    return [name for name, leaf in net._leaves() if leaf._cache is not None]
+
+
+class TestSavedActivations:
+    def test_backward_drops_every_cache(self):
+        net = tiny_net()
+        out = net.forward(np.random.default_rng(0).random((2, 3, 16, 16)))
+        assert len(_holding_a_cache(net)) == len(list(net._leaves()))
+        net.backward(np.ones_like(out))
+        assert _holding_a_cache(net) == []
+
+    def test_forward_without_keep_saves_nothing_and_gives_the_same_bytes(self):
+        net = tiny_net()
+        x = np.random.default_rng(0).random((2, 3, 16, 16))
+        kept = net.forward(x)
+        assert net.forward(x, keep=False).tobytes() == kept.tobytes()
+        assert _holding_a_cache(net) == []
+
+    @pytest.mark.parametrize("mode", ["ranking", "classification", "regression"])
+    def test_predictions_save_nothing(self, mode):
+        scheme = make_bins(1.0, 16.0, 4)
+        net = tiny_net(mode, 4 if mode == "classification" else 1)
+        img = Image(np.random.default_rng(93).random((16, 16, 3)).astype(np.float32))
+        net.forward(stack_images([img]))  # caches a prediction must not leave behind
+        if mode == "ranking":
+            predict_relative(net, img)
+        else:
+            predict_depth(net, img, scheme)
+        assert _holding_a_cache(net) == []
+
+
+def test_training_holds_one_sample_of_activations(monkeypatch):
+    """A desk-width pretrain on 64x64 images over 2 shares peaks, in the
+    parent, below one sample's forward and backward run on its own plus the
+    parameter-sized buffers the loop holds beside it: no activations from an
+    earlier sample or from the calibration pass are left over."""
+    monkeypatch.setattr(os, "sched_getaffinity", lambda pid: set(range(2)))
+    config = NetConfig(stage_widths=(16, 32, 64), head_widths=(64, 32), seed=1)
+    images = [overfit_sample(seed=21 + i, size=64)[0] for i in range(4)]
+    pairs = [(0, 0, 40, 40, 1), (8, 8, 56, 2, -1)]
+    x, grid_pairs = stack_images(images[:1]), map_pairs_to_grid(pairs, config.total_stride)
+    net, fresh = DepthNet(config), DepthNet(config)
+
+    def one_sample():
+        net.backward(ranking_loss(net.forward(x)[0, 0], grid_pairs).gradient[None, None])
+
+    one_sample()  # calibrates the norms
+    sched = TrainSchedule(batch_size=4, learning_rate=1e-3, total_iterations=2)
+    peaks = []
+    for run in (one_sample,
+                lambda: pretrain_ranking(fresh, [(img, pairs) for img in images], sched, seed=1)):
+        tracemalloc.start()
+        try:
+            run()
+            peaks.append(tracemalloc.get_traced_memory()[1])
+        finally:
+            tracemalloc.stop()
+    one_sample_peak, training = peaks
+    param_bytes = sum(t.values.nbytes for _, t in fresh.named_params())
+    # while the parent runs one of its samples it also holds three
+    # parameter-sized buffers: the grad slots (the last step's sums), this
+    # step's running sums and the last sample's gradients added to them; half
+    # a buffer more covers the batch's images, pair grids and pickles
+    assert training < one_sample_peak + 3.5 * param_bytes
+
+
 def test_convs_see_the_benchmark_shapes():
     """bench/replay.py:_conv_cost reads (n, cin, h, w) and (n, cout, oh, ow)
     from the shapes each Conv2d's forward and backward take and return, so
