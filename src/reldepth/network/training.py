@@ -196,10 +196,14 @@ def _sgd_loop(net: DepthNet, dataset, schedule: TrainSchedule, seed, sample_loss
         except ValueError as exc:
             raise ValueError(f"training diverged at iteration {iteration}: {exc}") from None
         if res is None:
+            for _, leaf in net._leaves():  # no backward follows to drop them
+                leaf._cache = None
             return None
         net.zero_grad()
         net.backward(res.gradient[None] / schedule.batch_size)
-        return res.value, [t.grad.copy() for t in params]
+        # the grad slots themselves: a worker pickles them as it sends them,
+        # and the loop sums them before the next sample's zero_grad
+        return res.value, [t.grad for t in params]
 
     def share_outcomes(iteration, k, shares):
         """Yield for sample k, k + shares, ...: (loss, parameter gradients),
@@ -288,6 +292,7 @@ def _sgd_loop(net: DepthNet, dataset, schedule: TrainSchedule, seed, sample_loss
                     loss += outcome[0]
                     for total, grad in zip(grads, outcome[1]):
                         total += grad
+                del outcome
             for t, total in zip(params, grads):
                 t.grad = total
             loss /= schedule.batch_size

@@ -174,9 +174,11 @@ def ad_cost(left: Image, right: Image, d_max, border_cost=None) -> CostVolume:
     return CostVolume(costs.transpose(0, 2, 1))
 
 
-# the column copy is built 64 rows of one disparity plane at a time, and the
-# E and W sweeps add their path costs into the total 16 columns at a time:
-# the fastest of the sizes tried at 128x128/d16 and 256x256/d48
+# the E and W sweeps work 64-row bands of the costs' column copy and add
+# their path costs into the total 16 columns at a time. At 256x256/d48 a
+# band is a quarter of a volume; 32-row bands took about 20% longer, and
+# 128-row ones held twice the memory for no gain. 16 columns were the
+# fastest add block at 128x128/d16 and 256x256/d48
 _COPY_ROWS, _ADD_COLUMNS = 64, 16
 
 
@@ -232,23 +234,26 @@ def _row_sweeps_into(total, costs, p1, p2, dy, dxs):
 
 def _column_sweeps_into(total, costs, p1, p2, dxs):
     """Add the path costs of the directions (0, dx), dx in dxs, into total,
-    both (H, D, W) in memory. Their scan lines are the contiguous (D, H)
-    columns of a (W, D, H) copy of the costs, and their path costs are added
-    _ADD_COLUMNS columns at a time."""
+    both (H, D, W) in memory. A horizontal path never leaves its row, so the
+    rows are worked in bands of _COPY_ROWS: each band's scan lines are the
+    contiguous (D, rows) columns of a (W, D, rows) copy of its costs, and
+    their path costs are added _ADD_COLUMNS columns at a time."""
     h, n_disp, w = costs.shape
-    cols = np.empty((w, n_disp, h))
+    band = np.empty(w * n_disp * min(h, _COPY_ROWS))
+    block = np.empty((_ADD_COLUMNS, n_disp, min(h, _COPY_ROWS)))
     for y0 in range(0, h, _COPY_ROWS):
+        y1 = min(y0 + _COPY_ROWS, h)
+        cols = band[:w * n_disp * (y1 - y0)].reshape(w, n_disp, y1 - y0)
         for d in range(n_disp):
-            cols[:, d, y0:y0 + _COPY_ROWS] = costs[y0:y0 + _COPY_ROWS, d].T
-    block = np.empty((_ADD_COLUMNS, n_disp, h))
-    for dx in dxs:
-        xs = range(w)[::dx]
-        for x, path in zip(xs, _path_costs((cols[x] for x in xs), p1, p2, 0)):
-            x0 = x - x % _ADD_COLUMNS
-            x1 = min(x0 + _ADD_COLUMNS, w)
-            block[x - x0] = path
-            if x == (x1 - 1 if dx == 1 else x0):  # the block's last column in scan order
-                total[:, :, x0:x1] += block[:x1 - x0].transpose(2, 1, 0)
+            cols[:, d] = costs[y0:y1, d].T
+        for dx in dxs:
+            xs = range(w)[::dx]
+            for x, path in zip(xs, _path_costs((cols[x] for x in xs), p1, p2, 0)):
+                x0 = x - x % _ADD_COLUMNS
+                x1 = min(x0 + _ADD_COLUMNS, w)
+                block[x - x0, :, :y1 - y0] = path
+                if x == (x1 - 1 if dx == 1 else x0):  # the block's last column in scan order
+                    total[y0:y1, :, x0:x1] += block[:x1 - x0, :, :y1 - y0].transpose(2, 1, 0)
 
 
 def _opposed_pair_count(directions):
@@ -267,10 +272,10 @@ def sgm_aggregate(cv: CostVolume, params: SgmParams) -> CostVolume:
     costs. The sweeps run one after another in sorted direction order on
     disparity-major (H, D, W) memory, each adding its path costs into the
     total as soon as a scan line (for E and W, a block of columns) is done,
-    so every element of the total is summed in direction order. At most
-    three volumes are held: the costs, the total and, during E and W, the
-    costs' column copy. Output is deterministic and independent of the
-    order in which the directions are given.
+    so every element of the total is summed in direction order. Two volumes
+    are held, the costs and the total, and during E and W one band of the
+    costs' column copy (see _column_sweeps_into). Output is deterministic
+    and independent of the order in which the directions are given.
     """
     if cv.d_max != params.d_max:
         raise ValueError(
@@ -294,9 +299,13 @@ def sgm_aggregate(cv: CostVolume, params: SgmParams) -> CostVolume:
 
 
 def winner_takes_all(cv: CostVolume) -> DepthMap:
-    """Per-pixel argmin disparity; ties go to the smaller disparity."""
-    disp = np.argmin(cv.costs, axis=2).astype(np.float32)
-    return DepthMap(disp, None, kind=DISPARITY)
+    """Per-pixel argmin disparity; ties go to the smaller disparity. The
+    argmin runs one (D, W) row of disparity-major costs at a time, so no
+    whole-volume copy is made."""
+    disp = np.empty(cv.costs.shape[:2], dtype=np.intp)
+    for y, row in enumerate(cv.costs.transpose(0, 2, 1)):
+        np.argmin(row, axis=0, out=disp[y])
+    return DepthMap(disp.astype(np.float32), None, kind=DISPARITY)
 
 
 def energy(dmap: DepthMap, cv: CostVolume, params: SgmParams) -> float:

@@ -833,6 +833,15 @@ class TestSavedActivations:
         assert net.forward(x, keep=False).tobytes() == kept.tobytes()
         assert _holding_a_cache(net) == []
 
+    def test_a_sample_with_nothing_to_score_saves_nothing(self):
+        img, depth = overfit_sample(60)
+        masked = DepthMap(depth.values, np.zeros_like(depth.mask), kind="depth")
+        net = tiny_net("classification", 6, seed=61)
+        sched = TrainSchedule(batch_size=1, learning_rate=1e-3, total_iterations=1)
+        finetune_classification(net, [(img, masked)], make_bins(2.0, 40.0, 6),
+                                info_gain_matrix(6, 2.0), sched, seed=62)
+        assert _holding_a_cache(net) == []
+
     @pytest.mark.parametrize("mode", ["ranking", "classification", "regression"])
     def test_predictions_save_nothing(self, mode):
         scheme = make_bins(1.0, 16.0, 4)
@@ -874,11 +883,12 @@ def test_training_holds_one_sample_of_activations(monkeypatch):
             tracemalloc.stop()
     one_sample_peak, training = peaks
     param_bytes = sum(t.values.nbytes for _, t in fresh.named_params())
-    # while the parent runs one of its samples it also holds three
-    # parameter-sized buffers: the grad slots (the last step's sums), this
-    # step's running sums and the last sample's gradients added to them; half
-    # a buffer more covers the batch's images, pair grids and pickles
-    assert training < one_sample_peak + 3.5 * param_bytes
+    # while the parent runs one of its samples it also holds two
+    # parameter-sized buffers: the grad slots (the last step's sums) and this
+    # step's running sums, with no earlier sample's gradients left beside
+    # them; half a buffer more covers the batch's images, pair grids and
+    # pickles
+    assert training < one_sample_peak + 2.5 * param_bytes
 
 
 def test_convs_see_the_benchmark_shapes():

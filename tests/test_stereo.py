@@ -220,6 +220,23 @@ class TestAggregate:
                 want = sgm_reference.sgm_aggregate(cv, params).costs
                 assert got.tobytes() == want.tobytes(), ((h, w), d_max, p1, p2)
 
+    @pytest.mark.parametrize(
+        "directions", [((0, 1),), ((0, -1),), HORIZONTAL_PAIR, DIRECTIONS_8],
+        ids=["E", "W", "pair", "all"])
+    def test_matches_full_volume_sweeps_across_row_bands(self, directions):
+        # the E and W sweeps work 64-row bands: heights on both sides of one
+        # and two band edges
+        rng = np.random.default_rng(len(directions))
+        for h, (w, d_max) in itertools.product((1, 63, 64, 65, 130), ((1, 2), (3, 5), (6, 4))):
+            costs = np.where(rng.random((h, w, d_max)) < 0.5,
+                             rng.integers(0, 4, (h, w, d_max)) * 0.25,
+                             rng.random((h, w, d_max)))
+            cv = CostVolume(costs)
+            params = SgmParams(p1=0.1, p2=0.4, d_max=d_max, directions=directions)
+            got = sgm_aggregate(cv, params).costs
+            want = sgm_reference.sgm_aggregate(cv, params).costs
+            assert got.tobytes() == want.tobytes(), (h, w, d_max)
+
     @pytest.mark.parametrize("shape", [(1, 1), (1, 9), (9, 1), (7, 20)])
     @pytest.mark.parametrize("d_max", [1, 5])
     def test_any_memory_order_gives_the_same_bytes(self, shape, d_max):
@@ -237,10 +254,13 @@ class TestAggregate:
         }
         params = SgmParams(p1=0.1, p2=0.4, d_max=d_max)
         want = sgm_reference.sgm_aggregate(CostVolume(costs), params).costs.tobytes()
+        # winner-takes-all argmins row by row: ties still go to the smaller disparity
+        want_wta = np.argmin(costs, axis=2).astype(np.float32).tobytes()
         for name, layout in layouts.items():
             assert np.array_equal(layout, costs)
             got = sgm_aggregate(CostVolume(layout), params).costs
             assert got.tobytes() == want, name
+            assert winner_takes_all(CostVolume(layout)).values.tobytes() == want_wta, name
 
     def test_dmax_mismatch(self):
         cv = CostVolume(np.zeros((2, 2, 3)))
@@ -428,6 +448,25 @@ class TestMatchPairMemory:
         finally:
             tracemalloc.stop()
         assert peak <= 3.5 * volume, f"peak {peak / volume:.2f} cost volumes"
+
+    def test_peak_holds_two_cost_volumes_and_a_band(self):
+        # at 256 rows the E and W sweeps' 64-row band of the column copy is a
+        # quarter of a volume beside the costs and the total; the rest of the
+        # slack covers the images, the scan-line buffers and one block of
+        # columns
+        width, height, d_max = 128, 256, 48
+        spec = SynthSceneSpec(width, height, layer_disparities=(2, 9, 20),
+                              texture_density=1.0, d_max=d_max, seed=4)
+        left, right, _ = generate_stereogram(spec)
+        volume = width * height * d_max * 8
+        tracemalloc.start()
+        try:
+            match_pair(left, right, SgmParams.defaults(d_max=d_max),
+                       bilsub_params=BilSubParams(radius=2), median_radius=1)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak <= 2.5 * volume, f"peak {peak / volume:.2f} cost volumes"
 
 
 class TestPlantedRecovery:
