@@ -15,6 +15,12 @@ of the shared pixel twice, so one copy is subtracted per opposed pair. With
 that bookkeeping, per-pixel argmin over the aggregated volume of a single
 horizontal pair solves the row-restricted energy exactly; multi-orientation
 sums remain the usual approximation.
+
+All eight sweeps run in two scan passes over the rows (as in Hirschmueller,
+Buder & Ernst, "Memory Efficient Semi-Global Matching", 2012), which read
+their costs 64 rows at a time. match_pair computes those bands from the
+channel images and takes each row's argmin as soon as the row is final, so
+the one cost volume it holds is the aggregated total.
 """
 
 import itertools
@@ -127,7 +133,7 @@ def _bilateral(data, spatial_sigma, range_sigma, radius):
     acc = np.zeros_like(data)
     norm = np.zeros_like(data)
     inv2_ss = 1.0 / (2.0 * spatial_sigma ** 2)
-    inv2_sr = 1.0 / (2.0 * range_sigma ** 2)
+    neg_inv2_sr = -1.0 / (2.0 * range_sigma ** 2)
     for dy, dx in itertools.product(range(-radius, radius + 1), repeat=2):
         sw = np.exp(-(dy * dy + dx * dx) * inv2_ss)
         overlap = _overlap(h, w, dy, dx)
@@ -135,19 +141,22 @@ def _bilateral(data, spatial_sigma, range_sigma, radius):
             continue
         here, there = overlap
         shifted = data[there]
-        wgt = sw * np.exp(-((shifted - data[here]) ** 2) * inv2_sr)
-        acc[here] += wgt * shifted
+        # the range weight, built in place in one contiguous temporary,
+        # which then holds the weighted values
+        wgt = np.subtract(shifted, data[here])
+        np.square(wgt, out=wgt)
+        wgt *= neg_inv2_sr
+        np.exp(wgt, out=wgt)
+        wgt *= sw
         norm[here] += wgt
+        wgt *= shifted
+        acc[here] += wgt
     return acc / norm
 
 
-def ad_cost(left: Image, right: Image, d_max, border_cost=None) -> CostVolume:
-    """Absolute-difference matching cost summed over channels.
-
-    cost(p, d) = sum_c |left(p) - right(p - d)|. Where p - d falls outside
-    the right image the cost is a fixed high constant (channel count by
-    default) so border pixels do not spuriously prefer large disparities.
-    """
+def _channels(left, right, d_max, border_cost):
+    """The images' channel-major float64 copies, whose channel rows are
+    contiguous, and the border cost (channel count by default)."""
     if left.data.shape != right.data.shape:
         raise ValueError(
             f"shape mismatch: left {left.data.shape} vs right {right.data.shape}"
@@ -156,104 +165,105 @@ def ad_cost(left: Image, right: Image, d_max, border_cost=None) -> CostVolume:
         raise ValueError("d_max must be >= 1")
     if border_cost is None:
         border_cost = float(left.channels)
-    h, w = left.height, left.width
-    # channel-major copies, so each channel's rows are contiguous
     lchan, rchan = (image.data.transpose(2, 0, 1).astype(np.float64, order="C")
                     for image in (left, right))
-    # held disparity-major, (H, D, W), under the (H, W, D) view; each
-    # disparity's plane is summed over the channels in order, one pass each
-    costs = np.full((h, d_max, w), border_cost, dtype=np.float64)
-    scratch = np.empty((h, w), dtype=np.float64)
-    for d in range(min(d_max, w)):
-        plane = costs[:, d, d:]
-        np.abs(np.subtract(lchan[0, :, d:], rchan[0, :, :w - d], out=plane), out=plane)
-        for lc, rc in zip(lchan[1:], rchan[1:]):
-            diff = scratch[:, d:]
-            np.abs(np.subtract(lc[:, d:], rc[:, :w - d], out=diff), out=diff)
-            plane += diff
+    return lchan, rchan, border_cost
+
+
+def _ad_band(lchan, rchan, border_cost, out):
+    """Fill out, shaped (rows, D, W) in any memory layout, with the AD costs
+    of the channel rows lchan and rchan, (C, rows, W). Each channel's rows
+    are flattened in the memory order of out's planes (x-major for a column
+    copy), so a disparity's differences are one pass along memory per
+    channel, summed over the channels in order into one flat line and then
+    copied into the plane. Where x < d the line wraps; the border cost
+    takes those places."""
+    rows, n_disp, w = out.shape
+    order = "F" if out.strides[0] < out.strides[2] else "C"
+    step = rows if order == "F" else 1  # the flat distance of one step in x
+    lflat, rflat = ([channel.ravel(order) for channel in chan] for chan in (lchan, rchan))
+    size = rows * w
+    line, diff = np.empty(size), np.empty(size)
+    sums = line.reshape((rows, w), order=order)
+    for d in range(n_disp):
+        out[:, d, :d] = border_cost  # the whole plane when d >= w
+        if d >= w:
+            continue
+        s = d * step
+        acc = line[s:]
+        np.abs(np.subtract(lflat[0][s:], rflat[0][:size - s], out=acc), out=acc)
+        for lc, rc in zip(lflat[1:], rflat[1:]):
+            np.abs(np.subtract(lc[s:], rc[:size - s], out=diff[s:]), out=diff[s:])
+            acc += diff[s:]
+        out[:, d, d:] = sums[:, d:]
+
+
+def ad_cost(left: Image, right: Image, d_max, border_cost=None) -> CostVolume:
+    """Absolute-difference matching cost summed over channels.
+
+    cost(p, d) = sum_c |left(p) - right(p - d)|. Where p - d falls outside
+    the right image the cost is a fixed high constant (channel count by
+    default) so border pixels do not spuriously prefer large disparities.
+    The volume is held disparity-major, (H, D, W), under its (H, W, D) view.
+    """
+    lchan, rchan, border_cost = _channels(left, right, d_max, border_cost)
+    costs = np.empty((left.height, d_max, left.width))
+    _ad_band(lchan, rchan, border_cost, costs)
     return CostVolume(costs.transpose(0, 2, 1))
 
 
-# the E and W sweeps work 64-row bands of the costs' column copy and add
-# their path costs into the total 16 columns at a time. At 256x256/d48 a
-# band is a quarter of a volume; 32-row bands took about 20% longer, and
-# 128-row ones held twice the memory for no gain. 16 columns were the
+# SGM reads its costs in bands of 64 rows, and the E and W sweeps add their
+# path costs into the total 16 columns at a time. At 256x256/d48 a band is a
+# quarter of a volume; 32-row bands of the column copy took about 20% longer,
+# and 128-row ones held twice the memory for no gain. 16 columns were the
 # fastest add block at 128x128/d16 and 256x256/d48
-_COPY_ROWS, _ADD_COLUMNS = 64, 16
+_BAND_ROWS, _ADD_COLUMNS = 64, 16
 
 
-def _path_costs(lines, p1, p2, shift):
-    """Yield one direction's path costs line by line, in one reused buffer.
-
-    lines yields the contiguous (D, n) cost lines in scan order. A pixel's
-    predecessor q lies in the previous line, shift places before it; each
-    step is the DP relaxation
+class _PathCosts:
+    """One direction's path costs, line by line in scan order, in one reused
+    buffer. Called with each contiguous (D, n) cost line, it returns that
+    line's path costs. A pixel's predecessor q lies in the previous line,
+    shift places before it; each step is the DP relaxation
 
         L(p, d) = C(p, d) + min(L(q, d), L(q, d +- 1) + p1, min_k L(q, k) + p2)
                   - min_k L(q, k)
 
     taken at q and added shifted along the flattened line, after which each
-    disparity row's path-start pixel is reset to C(p, d).
+    disparity row's path-start pixel is reset to C(p, d). The first line's
+    path costs are its costs.
     """
-    lines = iter(lines)
-    cur = np.array(next(lines))
-    n_disp, n = cur.shape
-    prev, step, plus = np.empty_like(cur), np.empty_like(cur), np.empty_like(cur)
-    low, cap = np.empty((1, n)), np.empty((1, n))
-    # a diagonal's flat positions that have a predecessor, those predecessors,
-    # and the position that starts a path
-    here, there, start = ((slice(1, None), slice(None, -1), 0) if shift == 1
-                          else (slice(None, -1), slice(1, None), n - 1))
-    yield cur
-    for line_costs in lines:
-        prev, cur = cur, prev
-        m = np.min(prev, axis=0, keepdims=True, out=low)
-        np.minimum(prev, np.add(m, p2, out=cap), out=step)
-        if n_disp > 1:
-            np.add(prev, p1, out=plus)
+
+    def __init__(self, shape, p1, p2, shift):
+        self.p1, self.p2, self.shift, self.cur = p1, p2, shift, None
+        self.prev, self.step, self.plus = (np.empty(shape) for _ in range(3))
+        self.low, self.cap = (np.empty((1, shape[1])) for _ in range(2))
+        # a diagonal's flat positions that have a predecessor, those
+        # predecessors, and the position that starts a path
+        self.here, self.there, self.start = (
+            (slice(1, None), slice(None, -1), 0) if shift == 1
+            else (slice(None, -1), slice(1, None), shape[1] - 1))
+
+    def __call__(self, line_costs):
+        if self.cur is None:
+            self.cur = np.array(line_costs)
+            return self.cur
+        prev, cur, step, plus = self.cur, self.prev, self.step, self.plus
+        m = np.minimum.reduce(prev, axis=0, keepdims=True, out=self.low)
+        np.minimum(prev, np.add(m, self.p2, out=self.cap), out=step)
+        if len(prev) > 1:
+            np.add(prev, self.p1, out=plus)
             np.minimum(step[:-1], plus[1:], out=step[:-1])
             np.minimum(step[1:], plus[:-1], out=step[1:])
         step -= m
-        if shift:
-            np.add(step.ravel()[there], line_costs.ravel()[here], out=cur.ravel()[here])
-            cur[:, start] = line_costs[:, start]
+        if self.shift:
+            np.add(step.ravel()[self.there], line_costs.ravel()[self.here],
+                   out=cur.ravel()[self.here])
+            cur[:, self.start] = line_costs[:, self.start]
         else:
             np.add(step, line_costs, out=cur)
-        yield cur
-
-
-def _row_sweeps_into(total, costs, p1, p2, dy, dxs):
-    """Add the path costs of the directions (dy, dx), dx in dxs, into total,
-    both (H, D, W) in memory. Their scan lines are the costs' contiguous
-    (D, W) rows."""
-    ys = range(costs.shape[0])[::dy]
-    for dx in dxs:
-        for y, path in zip(ys, _path_costs((costs[y] for y in ys), p1, p2, dx)):
-            total[y] += path
-
-
-def _column_sweeps_into(total, costs, p1, p2, dxs):
-    """Add the path costs of the directions (0, dx), dx in dxs, into total,
-    both (H, D, W) in memory. A horizontal path never leaves its row, so the
-    rows are worked in bands of _COPY_ROWS: each band's scan lines are the
-    contiguous (D, rows) columns of a (W, D, rows) copy of its costs, and
-    their path costs are added _ADD_COLUMNS columns at a time."""
-    h, n_disp, w = costs.shape
-    band = np.empty(w * n_disp * min(h, _COPY_ROWS))
-    block = np.empty((_ADD_COLUMNS, n_disp, min(h, _COPY_ROWS)))
-    for y0 in range(0, h, _COPY_ROWS):
-        y1 = min(y0 + _COPY_ROWS, h)
-        cols = band[:w * n_disp * (y1 - y0)].reshape(w, n_disp, y1 - y0)
-        for d in range(n_disp):
-            cols[:, d] = costs[y0:y1, d].T
-        for dx in dxs:
-            xs = range(w)[::dx]
-            for x, path in zip(xs, _path_costs((cols[x] for x in xs), p1, p2, 0)):
-                x0 = x - x % _ADD_COLUMNS
-                x1 = min(x0 + _ADD_COLUMNS, w)
-                block[x - x0, :, :y1 - y0] = path
-                if x == (x1 - 1 if dx == 1 else x0):  # the block's last column in scan order
-                    total[y0:y1, :, x0:x1] += block[:x1 - x0, :, :y1 - y0].transpose(2, 1, 0)
+        self.prev, self.cur = prev, cur
+        return cur
 
 
 def _opposed_pair_count(directions):
@@ -263,38 +273,89 @@ def _opposed_pair_count(directions):
     return len(pairs)
 
 
+def _sgm_rows(total, fill, params):
+    """The SGM core: add into total, zeros of (H, D, W), the path costs of
+    params.directions less one data term per opposed pair, and yield each
+    row y once total[y] is final.
+
+    fill(y0, y1, out) writes the costs of rows y0:y1 into out, shaped
+    (rows, D, W): the band itself, or a view of its (W, D, rows) column
+    copy. Either is read _BAND_ROWS rows at a time into one buffer. A
+    bottom-up pass adds NW, N and NE row by row. A top-down pass then works
+    each band: W and E along the contiguous (D, rows) columns of its column
+    copy, added _ADD_COLUMNS columns at a time, then from its rows SW, S, SE
+    and the subtraction. So every element is summed in sorted direction
+    order, and the only volume is the total.
+    """
+    h, n_disp, w = total.shape
+    p1, p2 = 2.0 * params.p1, 2.0 * params.p2
+    dxs = {dy: [dx for _, dx in group]
+           for dy, group in itertools.groupby(sorted(params.directions), key=lambda d: d[0])}
+    n_pairs = _opposed_pair_count(params.directions)
+    bands = [(y0, min(y0 + _BAND_ROWS, h)) for y0 in range(0, h, _BAND_ROWS)]
+    buffer = np.empty(min(h, _BAND_ROWS) * n_disp * w)
+    block = np.empty((_ADD_COLUMNS, n_disp, min(h, _BAND_ROWS)))
+
+    def band(y0, y1):
+        costs = buffer[:(y1 - y0) * n_disp * w].reshape(y1 - y0, n_disp, w)
+        fill(y0, y1, costs)
+        return costs
+
+    paths = [_PathCosts((n_disp, w), p1, p2, dx) for dx in dxs.get(-1, ())]
+    for y0, y1 in reversed(bands) if paths else ():
+        costs = band(y0, y1)
+        for y in reversed(range(y0, y1)):
+            for path in paths:
+                total[y] += path(costs[y - y0])
+    paths = [_PathCosts((n_disp, w), p1, p2, dx) for dx in dxs.get(1, ())]
+    for y0, y1 in bands:
+        rows = y1 - y0
+        if 0 in dxs:
+            cols = buffer[:w * n_disp * rows].reshape(w, n_disp, rows)
+            fill(y0, y1, cols.transpose(2, 1, 0))
+            for dx in dxs[0]:
+                path = _PathCosts((n_disp, rows), p1, p2, 0)
+                for x in range(w)[::dx]:
+                    x0 = x - x % _ADD_COLUMNS
+                    x1 = min(x0 + _ADD_COLUMNS, w)
+                    block[x - x0, :, :rows] = path(cols[x])
+                    if x == (x1 - 1 if dx == 1 else x0):  # the block's last column in scan order
+                        total[y0:y1, :, x0:x1] += block[:x1 - x0, :, :rows].transpose(2, 1, 0)
+        costs = band(y0, y1)
+        for y in range(y0, y1):
+            for path in paths:
+                total[y] += path(costs[y - y0])
+            if n_pairs:
+                total[y] -= n_pairs * costs[y - y0]
+            yield y
+
+
 def sgm_aggregate(cv: CostVolume, params: SgmParams) -> CostVolume:
     """Sum 1-D path costs over the configured directions.
 
     Each sweep charges 2*P1 / 2*P2 per step (both ordered contributions of
     the step's pixel pair) and one copy of the data term is subtracted per
     opposed direction pair, so opposed sweeps combine into exact through-path
-    costs. The sweeps run one after another in sorted direction order on
-    disparity-major (H, D, W) memory, each adding its path costs into the
-    total as soon as a scan line (for E and W, a block of columns) is done,
-    so every element of the total is summed in direction order. Two volumes
-    are held, the costs and the total, and during E and W one band of the
-    costs' column copy (see _column_sweeps_into). Output is deterministic
-    and independent of the order in which the directions are given.
+    costs. The sweeps run in _sgm_rows' two passes over disparity-major
+    (H, D, W) memory, which copy the given volume's costs one 64-row band at
+    a time, so every element of the total is summed in sorted direction
+    order. Beside the input one volume is held, the total, and one band.
+    Output is deterministic and independent of the given directions' order
+    and of the input's memory layout.
     """
     if cv.d_max != params.d_max:
         raise ValueError(
             f"cost volume has {cv.d_max} levels, params expect {params.d_max}"
         )
-    p1, p2 = 2.0 * params.p1, 2.0 * params.p2
-    # disparity-major memory, (H, D, W): ad_cost's own, other layouts copied
-    costs = np.ascontiguousarray(cv.costs.transpose(0, 2, 1))
-    total = np.zeros_like(costs)
-    for dy, group in itertools.groupby(sorted(params.directions), key=lambda d: d[0]):
-        dxs = tuple(dx for _, dx in group)
-        if dy:
-            _row_sweeps_into(total, costs, p1, p2, dy, dxs)
-        else:
-            _column_sweeps_into(total, costs, p1, p2, dxs)
-    n_pairs = _opposed_pair_count(params.directions)
-    if n_pairs:
-        for row, row_costs in zip(total, costs):
-            row -= n_pairs * row_costs
+    costs = cv.costs.transpose(0, 2, 1)
+
+    def fill(y0, y1, out):
+        for d in range(cv.d_max):  # one disparity plane at a time
+            out[:, d] = costs[y0:y1, d]
+
+    total = np.zeros(costs.shape)
+    for _ in _sgm_rows(total, fill, params):
+        pass
     return CostVolume(total.transpose(0, 2, 1))
 
 
@@ -372,12 +433,26 @@ def median_filter(dmap: DepthMap, radius=1) -> DepthMap:
 
 def match_pair(left: Image, right: Image, params: SgmParams,
                bilsub_params: BilSubParams = None, median_radius=0) -> DepthMap:
-    """Full stereo front end: optional BilSub, AD cost, SGM, WTA, median."""
+    """Full stereo front end: optional BilSub, AD cost, SGM, WTA, median.
+
+    The bytes of winner_takes_all(sgm_aggregate(ad_cost(...))), but the one
+    volume held is the SGM total: its costs are computed a band at a time
+    from the channel images, and each row's argmin is taken once the row is
+    final.
+    """
     if bilsub_params is not None:
         left, right = (bilsub(image, **asdict(bilsub_params)) for image in (left, right))
-    # no volume outlives winner-takes-all
-    disp = winner_takes_all(sgm_aggregate(
-        ad_cost(left, right, params.d_max, border_cost=params.border_cost), params))
+    lchan, rchan, border_cost = _channels(left, right, params.d_max, params.border_cost)
+
+    def fill(y0, y1, out):
+        _ad_band(lchan[:, y0:y1], rchan[:, y0:y1], border_cost, out)
+
+    total = np.zeros((left.height, params.d_max, left.width))
+    disp = np.empty((left.height, left.width), dtype=np.intp)
+    for y in _sgm_rows(total, fill, params):
+        np.argmin(total[y], axis=0, out=disp[y])
+    del total  # no volume outlives winner-takes-all
+    disp = DepthMap(disp.astype(np.float32), None, kind=DISPARITY)
     if median_radius >= 1:
         disp = median_filter(disp, median_radius)
     return disp

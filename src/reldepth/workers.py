@@ -41,7 +41,10 @@ class Worker:
 
 def _child(serve, k, shares, conn, parent_end):
     parent_end.close()  # so that the child sees EOF once the parent is gone
-    serve(k, shares, conn)
+    try:
+        serve(k, shares, conn)
+    except (BrokenPipeError, ConnectionResetError):
+        pass  # the parent's end is gone, and with it anyone to tell
 
 
 @contextmanager
@@ -51,8 +54,9 @@ def forked(items, serve, name):
     bundled OpenBLAS thread setter. The block, which works share 0, and the
     n - 1 children forked in it run OpenBLAS on one thread; the block gets
     their Workers, child k running serve(k, n, conn) on its end of a duplex
-    pipe. On leaving the block, also by an exception, each child still
-    running is terminated, every child joined and every pipe closed."""
+    pipe. A child that finds the parent's end of its pipe gone ends quietly,
+    with exit code 0. On leaving the block, also by an exception, each child
+    still running is terminated, every child joined and every pipe closed."""
     fork = multiprocessing.get_context("fork")
     with one_blas_thread() as pinned:
         shares = min(len(os.sched_getaffinity(0)), items) if pinned else 1

@@ -1,7 +1,9 @@
 import hashlib
 import itertools
 import tracemalloc
+from dataclasses import asdict
 
+import bilsub_reference
 import numpy as np
 import pytest
 import sgm_reference
@@ -13,6 +15,7 @@ from reldepth.stereo import (
     BilSubParams,
     CostVolume,
     SgmParams,
+    _bilateral,
     ad_cost,
     bilsub,
     energy,
@@ -97,6 +100,18 @@ class TestBilsub:
                 blur[i, j] = acc / norm
         want = np.clip(0.5 + (x - blur), 0.0, 1.0)
         assert np.allclose(out.data[:, :, 0], want, atol=1e-6)
+
+    @pytest.mark.parametrize("radius", [1, 2, 3])
+    def test_matches_reference_formula_bitwise(self, radius):
+        # the range weights are built in place, with -1/(2 sr^2) folded
+        rng = np.random.default_rng(radius)
+        for (h, w, c), (ss, sr) in itertools.product(
+                ((1, 1, 1), (2, 5, 3), (9, 7, 1), (16, 23, 3)),
+                ((2.0, 0.1), (0.7, 0.03), (5.0, 1.3))):
+            data = rng.random((h, w, c)).astype(np.float32).astype(np.float64)
+            got = _bilateral(data, ss, sr, radius)
+            want = bilsub_reference.bilateral(data, ss, sr, radius)
+            assert got.tobytes() == want.tobytes(), ((h, w, c), ss, sr)
 
     def test_rejects_bad_params(self):
         img = Image(np.zeros((2, 2, 1), dtype=np.float32))
@@ -431,6 +446,39 @@ class TestMatchPairBytes:
             "111ce3c2a38d83a2e4706bde4abddd509d7f8248116c6832b06745bdc349e09f")
 
 
+class TestMatchPairFused:
+    @pytest.mark.parametrize(
+        "directions", [DIRECTIONS_8, HORIZONTAL_PAIR, ((1, 0), (-1, 0)), ((-1, 1),)],
+        ids=["all", "horizontal", "N-S", "NE"])
+    @pytest.mark.parametrize("bilsub_params", [None, BilSubParams(radius=1)],
+                             ids=["raw", "bilsub"])
+    def test_equals_the_composed_path_bitwise(self, directions, bilsub_params):
+        # match_pair computes its costs one 64-row band at a time: heights on
+        # both sides of one and two band edges, widths below d_max, and a set
+        # border cost
+        rng = np.random.default_rng(len(directions))
+        for h, (w, channels, d_max, border_cost) in itertools.product(
+                (1, 63, 64, 65, 130),
+                ((9, 3, 5, None), (4, 3, 7, None), (6, 1, 3, 0.5), (11, 3, 4, 2.25))):
+            # quarter steps make ties between disparities and paths common
+            left, right = (Image(rng.integers(0, 5, (h, w, channels)) * 0.25)
+                           for _ in range(2))
+            params = SgmParams(p1=0.1, p2=0.4, d_max=d_max, directions=directions,
+                               border_cost=border_cost)
+            a, b = left, right
+            if bilsub_params is not None:
+                a, b = (bilsub(image, **asdict(bilsub_params)) for image in (a, b))
+            cv = ad_cost(a, b, d_max, border_cost)
+            # the full-volume sweeps too, as the SGM core is match_pair's own
+            for aggregate in (sgm_aggregate, sgm_reference.sgm_aggregate):
+                disp = winner_takes_all(aggregate(cv, params))
+                for got, want in ((match_pair(left, right, params, bilsub_params), disp),
+                                  (match_pair(left, right, params, bilsub_params, 1),
+                                   median_filter(disp, 1))):
+                    assert got.values.tobytes() == want.values.tobytes(), (h, w, d_max)
+                    assert got.mask.tobytes() == want.mask.tobytes(), (h, w, d_max)
+
+
 class TestMatchPairMemory:
     def test_peak_holds_at_most_three_cost_volumes(self):
         # the costs, the aggregated total and the E/W column copy; the slack
@@ -467,6 +515,24 @@ class TestMatchPairMemory:
         finally:
             tracemalloc.stop()
         assert peak <= 2.5 * volume, f"peak {peak / volume:.2f} cost volumes"
+
+    def test_peak_holds_one_cost_volume_and_a_band(self):
+        # the aggregated total and one 64-row band of costs, a quarter of a
+        # volume at 256 rows; the rest of the slack covers the images, the
+        # scan-line buffers and one block of columns
+        width, height, d_max = 128, 256, 48
+        spec = SynthSceneSpec(width, height, layer_disparities=(2, 9, 20),
+                              texture_density=1.0, d_max=d_max, seed=4)
+        left, right, _ = generate_stereogram(spec)
+        volume = width * height * d_max * 8
+        tracemalloc.start()
+        try:
+            match_pair(left, right, SgmParams.defaults(d_max=d_max),
+                       bilsub_params=BilSubParams(radius=2), median_radius=1)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak <= 1.9 * volume, f"peak {peak / volume:.2f} cost volumes"
 
 
 class TestPlantedRecovery:

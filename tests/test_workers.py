@@ -84,3 +84,17 @@ def test_a_dead_child_raises_with_its_exit_code(monkeypatch, blas_setter):
                 child.recv()
             with pytest.raises(workers.WorkerExited, match=f"^test worker exited {40 + k}$"):
                 child.send(b"x" * (1 << 20))
+
+
+def test_a_child_whose_parent_end_is_gone_ends_quietly(monkeypatch, blas_setter, capfd):
+    def serve(k, shares, conn):
+        conn.poll(30)  # until the parent's end is closed
+        conn.send(b"x" * (1 << 20))
+
+    see_cpus(monkeypatch, 2)
+    with workers.forked(2, serve, "test worker") as children:
+        (child,) = children
+        child.conn.close()
+        child.process.join(30)
+    assert child.process.exitcode == 0
+    assert capfd.readouterr().err == ""
